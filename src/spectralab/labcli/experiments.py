@@ -22,7 +22,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaincc
 
-from ..errors import BadParams, UnknownExperiment
+from ..errors import BadParams, NumericalError, UnknownExperiment
 from ..matching import extremal_gap_statistic, zero_critical_distance
 from ..measures import (
     ClusterSpec,
@@ -53,7 +53,7 @@ from ..rmt import (
     sample_ginibre,
     sample_product_ensemble,
 )
-from ..rootsolve import critical_points, solve_all
+from ..rootsolve import critical_points
 from .svg import emit_scatter_svg
 
 __all__ = [
@@ -110,15 +110,20 @@ class ExperimentDef:
     run: Callable
 
 
-def _timed(fn, seed, trial, params):
+def _timed(name, fn, seed, trial, params):
     t0 = time.perf_counter()
-    metrics = fn(seed, trial, params)
+    try:
+        metrics = fn(seed, trial, params)
+    except NumericalError as exc:
+        # same type, plus what it takes to replay the trial on its own stream
+        raise type(exc)(f"{name} trial {trial} (seed {seed}, stream_id "
+                        f"{stream_id_for(name, trial)}): {exc}") from exc
     return metrics, (time.perf_counter() - t0) * 1000.0
 
 
 def _run_trials(cfg: ExperimentConfig, fn, count: int | None = None) -> list:
     n = cfg.trials if count is None else count
-    call = partial(_timed, fn)
+    call = partial(_timed, cfg.name, fn)
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             outs = list(pool.map(call, [cfg.seed] * n, range(n), [cfg.params] * n))
@@ -496,12 +501,11 @@ def _real_eig_run(cfg: ExperimentConfig) -> ExperimentResult:
 
 # --- walsh-clusters --------------------------------------------------------
 
-def _walsh_trial(seed, trial, params):
-    stream = RngStream(seed, stream_id_for("walsh-clusters", trial))
-    g = stream.generator()
+def _walsh_roots(seed, trial, params):
+    """Cluster centers and the k * n_per_cluster roots of one walsh-clusters trial."""
+    g = RngStream(seed, stream_id_for("walsh-clusters", trial)).generator()
     k = params["k"]
     radius = params["radius"]
-    eps = params["eps"]
     n_per = params["n_per_cluster"]
     # set-to-set separation of 5k needs center spacing 5k + 2*radius
     spacing = 5.0 * k + 2.0 * radius + 0.5
@@ -511,7 +515,16 @@ def _walsh_trial(seed, trial, params):
         rho = radius * np.sqrt(g.random(n_per))
         ang = 2.0 * np.pi * g.random(n_per)
         roots.append(c + rho * np.exp(1j * ang))
-    crit = critical_points(RootPoly(np.concatenate(roots))).roots
+    return centers, np.concatenate(roots)
+
+
+def _walsh_trial(seed, trial, params):
+    k = params["k"]
+    radius = params["radius"]
+    eps = params["eps"]
+    n_per = params["n_per_cluster"]
+    centers, roots = _walsh_roots(seed, trial, params)
+    crit = critical_points(RootPoly(roots)).roots
     spec = ClusterSpec(centers, radius, 5.0 * k + 2.0 * radius)
     defs = cluster_deficiency(spec, crit, eps, n_per)
     bound = walsh_constant(k, eps, 5.0 * k)
@@ -537,10 +550,12 @@ def _walsh_run(cfg: ExperimentConfig) -> ExperimentResult:
 def _discrepancy_point(seed, index, params):
     sizes = _parse_int_list(params["n_list"])
     n = sizes[index]
-    # zeros of the derivative of 1 + z + ... + z^n, plus the double root at 1
+    # zeros of the derivative of 1 + z + ... + z^n, whose roots are the
+    # (n+1)-th roots of unity other than 1, plus the double root at 1
     # carried by the (z-1)^2 cofactor of the closed-form numerator
-    roots = solve_all(np.arange(1.0, n + 1.0)).roots
-    points = np.concatenate([roots, [1.0, 1.0]])
+    roots = np.exp(2j * np.pi * np.arange(1, n + 1) / (n + 1))
+    crit = critical_points(RootPoly(roots)).roots
+    points = np.concatenate([crit, [1.0, 1.0]])
     disc = angular_discrepancy(points)
     coeffs = np.zeros(n + 2)
     coeffs[0] = 1.0

@@ -1,11 +1,15 @@
 """Polynomial root finding for critical-point computations.
 
-Two routes are kept deliberately independent so they can cross-check each
-other: a simultaneous Aberth-Ehrlich iteration (the primary path) and
-companion-matrix eigenvalues through LAPACK (the fallback). For polynomials
-given by their roots, critical points can also be found without ever forming
-coefficients, by Newton/Aberth steps on P'/P; that route stays accurate at
-degrees where expanded coefficients would be useless in double precision.
+Critical points have one route, which needs only the roots of P: a
+simultaneous Aberth iteration on P'/P. It never forms coefficients, so it
+stays accurate at degrees where expanded coefficients would be useless in
+double precision, and each result is certified by its undamped Newton step
+P'/P'' rather than by a coefficient-side residual.
+
+Polynomials given by coefficients have their own public entry points:
+``solve_all`` (Aberth on Horner evaluations, companion-matrix eigenvalues
+through LAPACK when it stalls) and ``companion_roots``. No critical-point
+computation goes through them.
 
 Real-rooted polynomials get a bisection fast path: Rolle's theorem puts
 exactly one critical point strictly between consecutive distinct roots, and
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, NoConvergence
-from .polycore import RootPoly, derivative_coefficients
+from .polycore import RootPoly
 
 __all__ = [
     "RootFindReport",
@@ -32,9 +36,10 @@ __all__ = [
 ]
 
 TOL_ROOT = 1e-12
+NEWTON_TOL = 1e-11
 MAX_ITER = 200
 _STALL_SWEEPS = 10
-_COEFF_PATH_MAX_DEGREE = 80
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -183,30 +188,58 @@ def solve_all(coeffs, *, tol_root: float = TOL_ROOT, max_iter: int = MAX_ITER) -
         f"companion residual {resc.max():.3e} exceeds tol_root {tol_root:.1e}")
 
 
-def _log_abs_poly_from_roots(values: np.ndarray, counts: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """log prod_j |z - values_j|^counts_j, stable at any degree."""
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.abs(z[:, None] - values[None, :]))
-    return logs @ counts
+def _log_deriv_sums(w: np.ndarray, values: np.ndarray, cnt: np.ndarray):
+    """s1 = sum c_j/(w - v_j) = P'/P and s2 = sum c_j/(w - v_j)^2 at each w.
 
-
-def _critical_points_rootbased(p: RootPoly, tol_root: float, max_iter: int) -> RootFindReport:
-    """Aberth iteration on P'/P, using only the roots of P.
-
-    Avoids coefficient expansion entirely, so it stays usable when expanded
-    coefficients overflow or cancel catastrophically (large degree, roots on
-    a circle). A root of multiplicity m contributes m-1 critical points at
-    itself; those are emitted directly and enter the repulsion sum as fixed
-    points.
+    Evaluated in blocks of _BLOCK_ROWS points, so no temporary grows with the
+    square of the degree.
     """
+    s1 = np.empty_like(w)
+    s2 = np.empty_like(w)
+    for lo in range(0, w.size, _BLOCK_ROWS):
+        blk = slice(lo, lo + _BLOCK_ROWS)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = 1.0 / (w[blk, None] - values[None, :])
+        s1[blk] = inv @ cnt
+        s2[blk] = (inv * inv) @ cnt
+    return s1, s2
+
+
+def _repulsion(w: np.ndarray, fixed: np.ndarray) -> np.ndarray:
+    """Aberth term sum_{j != i} 1/(w_i - w_j) plus sum_k 1/(w_i - fixed_k), in row blocks."""
+    out = np.empty_like(w)
+    for lo in range(0, w.size, _BLOCK_ROWS):
+        blk = slice(lo, lo + _BLOCK_ROWS)
+        dw = w[blk, None] - w[None, :]
+        rows = np.arange(dw.shape[0])
+        dw[rows, lo + rows] = np.inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out[blk] = np.sum(1.0 / dw, axis=1)
+            if fixed.size:
+                out[blk] += np.sum(1.0 / (w[blk, None] - fixed[None, :]), axis=1)
+    return out
+
+
+def critical_points(p: RootPoly, *, max_iter: int = MAX_ITER) -> RootFindReport:
+    """All degree-1 fewer roots of P', i.e. the critical points of P.
+
+    Aberth iteration on P'/P, using only the roots of P: no coefficients are
+    formed, so the accuracy does not depend on their size. A root of
+    multiplicity m contributes m-1 critical points at itself; those are
+    emitted directly and enter the repulsion sum as fixed points. The result
+    is certified by the undamped Newton step |P'/P''| / (1 + |w|), which must
+    be at most NEWTON_TOL at every iterated point; ``residuals`` holds that
+    step (0 for the fixed points). Raises NoConvergence when the iteration
+    stalls or runs out of sweeps first.
+    """
+    if p.degree < 2:
+        raise DegenerateInput("degree >= 2 required")
     roots = p.root_array()
     n = roots.size
     values, counts = np.unique(roots, return_counts=True)
     fixed = np.repeat(values, counts - 1)
-    d = values.size
-    if d == 1:
-        res = np.zeros(n - 1)
-        return RootFindReport(fixed, res, 0, True)
+    if values.size == 1:
+        return RootFindReport(fixed, np.zeros(n - 1), 0, True)
 
     centroid = roots.mean()
     drop = int(np.argmin(np.abs(values - centroid)))
@@ -214,47 +247,34 @@ def _critical_points_rootbased(p: RootPoly, tol_root: float, max_iter: int) -> R
     w = w + (centroid - w) * (0.5 / n)
     # nudge any start point that landed exactly on a pole
     for _ in range(3):
-        dist = np.abs(w[:, None] - values[None, :]).min(axis=1)
-        bad = dist == 0.0
+        bad = np.isin(w, values)
         if not bad.any():
             break
         w = np.where(bad, w + (1e-6 + 1e-6j) * (1.0 + np.abs(w)), w)
 
     cnt = counts.astype(float)
-    scale_lead = math.log(n * abs(p.leading))
     best_step = math.inf
     best_active = w.size + 1
     stalled = 0
-    # the clipped residual scale is far too generous for spread-out root sets
-    # at large degree; demand a vanishing undamped Newton step as well, which
-    # also rejects spurious equilibria of the mutual-repulsion term
-    newton_tol = 1e-11
-    it = 0
-    done = False
+    it, worst = 0, math.inf
     for it in range(1, max_iter + 1):
-        dz = w[:, None] - values[None, :]
+        s1, s2 = _log_deriv_sums(w, values, cnt)
         with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / dz
-        s1 = inv @ cnt
-        s2 = (inv * inv) @ cnt
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = s1 / (s1 * s1 - s2)
+            newton = s1 / (s1 * s1 - s2)  # P'/P''
         newton = np.where(np.isfinite(newton), newton, 1e-3 * (1.0 + np.abs(w)))
-        if float(np.max(np.abs(newton) / (1.0 + np.abs(w)))) <= newton_tol:
-            done = True
-            break
-        dw = w[:, None] - w[None, :]
-        np.fill_diagonal(dw, np.inf)
-        repulsion = np.sum(1.0 / dw, axis=1)
-        if fixed.size:
-            repulsion = repulsion + np.sum(1.0 / (w[:, None] - fixed[None, :]), axis=1)
+        newton_step = np.abs(newton) / (1.0 + np.abs(w))
+        worst = float(newton_step.max())
+        if worst <= NEWTON_TOL:
+            return RootFindReport(np.concatenate([fixed, w]),
+                                  np.concatenate([np.zeros(fixed.size), newton_step]),
+                                  it, True)
         with np.errstate(divide="ignore", invalid="ignore"):
-            corr = newton / (1.0 - newton * repulsion)
+            corr = newton / (1.0 - newton * _repulsion(w, fixed))
         corr = np.where(np.isfinite(corr), corr, newton)
         w = w - corr
         steps = np.abs(corr) / (1.0 + np.abs(w))
         last_step = float(steps.max())
-        active = int(np.sum(steps > newton_tol))
+        active = int(np.sum(steps > NEWTON_TOL))
         if active < best_active or (active == best_active
                                     and last_step < best_step * (1.0 - 1e-3)):
             best_active = active
@@ -264,57 +284,8 @@ def _critical_points_rootbased(p: RootPoly, tol_root: float, max_iter: int) -> R
             stalled += 1
             if stalled >= _STALL_SWEEPS:
                 break
-
-    # residual of P' at w relative to its local scale, all in logs
-    dz = w[:, None] - values[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s1 = (1.0 / dz) @ cnt
-    log_pprime = _log_abs_poly_from_roots(values, cnt, w) + math.log(abs(p.leading))
-    with np.errstate(divide="ignore"):
-        log_pprime = log_pprime + np.log(np.abs(s1))
-    others = np.abs(w[:, None] - w[None, :])
-    np.fill_diagonal(others, 1.0)
-    log_scale = scale_lead + np.sum(np.log(np.maximum(others, 1.0)), axis=1)
-    if fixed.size:
-        log_scale = log_scale + np.sum(
-            np.log(np.maximum(np.abs(w[:, None] - fixed[None, :]), 1.0)), axis=1)
-    res = np.exp(log_pprime - log_scale)
-
-    all_w = np.concatenate([fixed, w])
-    all_res = np.concatenate([np.zeros(fixed.size), res])
-    if done and res.max() <= tol_root:
-        return RootFindReport(all_w, all_res, it, True)
-    # fall back through coefficients when they are representable
-    dcoeffs = derivative_coefficients(p)
-    if np.all(np.isfinite(dcoeffs)) and dcoeffs[-1] != 0:
-        zc = companion_roots(dcoeffs)
-        pv, _, hm = _horner_pair(dcoeffs, zc)
-        resc = _relative_residuals(pv, dcoeffs[-1], zc, hm, tol_root)
-        if resc.max() <= tol_root:
-            return RootFindReport(zc, resc, it, True)
-    raise NoConvergence(f"critical-point iteration stalled at residual {res.max():.3e}")
-
-
-def critical_points(p: RootPoly, *, tol_root: float = TOL_ROOT,
-                    max_iter: int = MAX_ITER) -> RootFindReport:
-    """All degree-1 fewer roots of P', i.e. the critical points of P.
-
-    Small degrees go through expanded coefficients and solve_all; larger ones
-    use the root-based iteration, whose accuracy does not depend on the size
-    of expanded coefficients.
-    """
-    if p.degree < 2:
-        raise DegenerateInput("degree >= 2 required")
-    if p.degree <= _COEFF_PATH_MAX_DEGREE:
-        c = derivative_coefficients(p)
-        if np.all(np.isfinite(c)) and c[-1] != 0:
-            try:
-                return solve_all(c, tol_root=tol_root, max_iter=max_iter)
-            except NoConvergence:
-                # clustered or badly scaled roots can defeat the coefficient
-                # representation; the root-based route does not expand at all
-                pass
-    return _critical_points_rootbased(p, tol_root, max_iter)
+    raise NoConvergence(f"critical-point iteration stopped after {it} sweeps "
+                        f"at Newton step {worst:.3e}")
 
 
 def _bisect_gaps(values: np.ndarray, counts: np.ndarray, gaps: np.ndarray) -> np.ndarray:

@@ -16,6 +16,8 @@ from spectralab.labcli import (
     stream_id_for,
 )
 from spectralab.labcli.cli import main
+from spectralab.polycore import RootPoly
+from spectralab.rootsolve import critical_points
 
 ALL_NAMES = {
     "thm1-convergence", "matching-lln", "exp-spacing", "ginibre-intensity",
@@ -121,6 +123,25 @@ class TestOutputs:
         assert payload["summary"]["monotone_decreasing"]
         assert payload["summary"]["all_within_bound"]
 
+    def test_discrepancy_is_the_double_point_mass(self, tmp_path):
+        # the double root at 1 is an atom of mass 2/(n+1); the other derivative
+        # zeros of 1 + z + ... + z^n are spread evenly enough in angle that
+        # this atom alone sets the discrepancy
+        sizes = (128, 256, 512)
+        cfg = ExperimentConfig("discrepancy", 1, 1, {"n_list": "128,256,512"},
+                               tmp_path / "d")
+        run_experiment(cfg)
+        rows = (tmp_path / "d" / "trials.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(sizes)
+        cols = GOLDEN_COLUMNS["discrepancy"].split(",")
+        for n, line in zip(sizes, rows):
+            row = dict(zip(cols, line.split(",")))
+            assert int(row["n"]) == n
+            assert abs(float(row["discrepancy"]) - 2.0 / (n + 1)) <= 1e-9
+            roots = np.exp(2j * np.pi * np.arange(1, n + 1) / (n + 1))
+            crit = critical_points(RootPoly(roots)).roots
+            assert np.abs(crit).max() <= 1.0 + 1e-9
+
     def test_spectra_and_intensity_files(self, tmp_path):
         cfg = ExperimentConfig("ginibre-intensity", 5, 2, {"n": 10, "spectra": 1},
                                tmp_path / "g")
@@ -194,6 +215,27 @@ class TestCli:
         rc = main(["run", "--experiment", "poisson-limit", "--trials", "1",
                    "--out", str(tmp_path / "y")])
         assert rc == 3
+
+    def test_numerical_error_names_trial_and_stream(self, monkeypatch, tmp_path):
+        import spectralab.labcli.experiments as expmod
+
+        solved = []
+
+        def fails_second(p):
+            solved.append(p)
+            if len(solved) == 2:
+                raise NoConvergence("forced")
+            return critical_points(p)
+
+        monkeypatch.setattr(expmod, "critical_points", fails_second)
+        cfg = ExperimentConfig("walsh-clusters", 7, 3, {"n_per_cluster": 5},
+                               tmp_path / "w", workers=1)
+        with pytest.raises(NoConvergence) as info:
+            run_experiment(cfg)
+        message = str(info.value)
+        assert message.startswith("walsh-clusters trial 1 (seed 7, stream_id "
+                                  f"{stream_id_for('walsh-clusters', 1)})")
+        assert message.endswith("forced")
 
     def test_config_file_and_env_seed(self, tmp_path, monkeypatch):
         cfgfile = tmp_path / "exp.cfg"

@@ -5,9 +5,11 @@ import pytest
 
 from conftest import assert_multiset_close
 from spectralab.errors import DegenerateInput
+from spectralab.labcli.experiments import _walsh_roots
 from spectralab.measures import convex_hull_contains
 from spectralab.polycore import RootPoly, derivative_coefficients, expand_coefficients
 from spectralab.rootsolve import (
+    NEWTON_TOL,
     companion_roots,
     critical_points,
     interlaced_extremes,
@@ -146,3 +148,44 @@ class TestInvariants:
             aberth = solve_all(coeffs).roots
             comp = companion_roots(coeffs)
             assert_multiset_close(aberth, comp, 1e-8)
+
+
+WALSH = {"radius": 0.5, "n_per_cluster": 20}
+# k=3 draws under seed 42 whose root-based iteration had converged but which
+# were then sent on to a coefficient fallback that raised NoConvergence
+WALSH_K3_HARD_TRIALS = (62, 99, 131, 178, 196)
+
+
+def differentiator_eigenvalues(roots) -> np.ndarray:
+    """Eigenvalues of Q^H diag(roots) Q, Q an orthonormal basis of the ones vector's complement.
+
+    The characteristic polynomial of this compression is P'/(n * lead), so its
+    eigenvalues are the critical points, computed without any iteration.
+    """
+    roots = np.asarray(roots, dtype=complex)
+    q, _ = np.linalg.qr(np.ones((roots.size, 1)), mode="complete")
+    basis = q[:, 1:]
+    return np.linalg.eigvals(basis.conj().T @ (roots[:, None] * basis))
+
+
+class TestAgainstDifferentiator:
+    @staticmethod
+    def check(roots):
+        rep = critical_points(RootPoly(roots))
+        assert rep.converged
+        assert rep.residuals.max() <= NEWTON_TOL
+        assert_multiset_close(rep.roots, differentiator_eigenvalues(roots), 1e-8)
+        assert np.all(convex_hull_contains(roots, rep.roots, 1e-9))
+        n = roots.size
+        rhs = (n - 1) / n * roots.sum()
+        assert abs(rep.roots.sum() - rhs) <= 1e-8 * max(1.0, abs(rhs))
+
+    @pytest.mark.parametrize("k, trials", [(2, range(20)), (3, range(10)),
+                                           (3, WALSH_K3_HARD_TRIALS)])
+    def test_walsh_draws(self, k, trials):
+        for t in trials:
+            self.check(_walsh_roots(42, t, {"k": k, **WALSH})[1])
+
+    def test_unit_circle(self, rng):
+        for n in range(10, 81, 5):
+            self.check(np.exp(2j * np.pi * rng.random(n)))
