@@ -111,7 +111,8 @@ def zero_critical_distance(p: RootPoly) -> float:
     """
     x = _real_roots(p)
     eta = real_interlaced_critical_points(x)
-    return sorted_l1(x, np.concatenate([eta, [0.0]])).distance
+    # sorted_l1's order-statistic pairing, without building its index pairs
+    return float(np.sum(np.abs(x - np.sort(np.append(eta, 0.0)))))
 
 
 class MixedSignBound(NamedTuple):

@@ -11,9 +11,11 @@ Polynomials given by coefficients have their own public entry points:
 through LAPACK when it stalls) and ``companion_roots``. No critical-point
 computation goes through them.
 
-Real-rooted polynomials get a bisection fast path: Rolle's theorem puts
-exactly one critical point strictly between consecutive distinct roots, and
-the sign of sum(1/(x - x_k)) brackets it, so interlacing holds exactly.
+Real-rooted polynomials get a bracketed fast path: Rolle's theorem puts
+exactly one critical point strictly between consecutive distinct roots, where
+sum(1/(x - x_k)) falls strictly from +inf to -inf. Safeguarded Newton on that
+sum, with a bracket kept from its sign, finds it and never leaves the gap, so
+interlacing holds exactly.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ NEWTON_TOL = 1e-11
 MAX_ITER = 200
 _STALL_SWEEPS = 10
 _BLOCK_ROWS = 64
+_NO_POINTS = np.empty(0, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -74,24 +77,14 @@ def _horner_pair(coeffs: np.ndarray, z: np.ndarray):
     return p, dp, hmag
 
 
-def _relative_residuals(pvals: np.ndarray, lead: complex, roots: np.ndarray,
-                        hmag: np.ndarray, tol_root: float) -> np.ndarray:
-    """|P(r_i)| relative to the local scale |lead| * prod_{j!=i} max(1, |r_i-r_j|).
+def _backward_errors(pvals: np.ndarray, hmag: np.ndarray) -> np.ndarray:
+    """Normwise relative backward error |P(z)| / sum|c_k||z|^k of each point.
 
-    Computed in logs (the raw scale product overflows at modest degrees). The
-    certification scale is floored at the Horner evaluation-noise level
-    4 n eps H / tol_root: residuals at roundoff cannot be distinguished from
-    zero, so they must not block convergence.
+    It is the smallest relative change of the coefficients that makes z an
+    exact root, so it does not depend on where the other points sit.
     """
-    n = roots.size
-    with np.errstate(divide="ignore"):
-        log_p = np.log(np.abs(pvals))
-        log_floor = np.log(4.0 * n * np.finfo(float).eps * hmag / tol_root)
-    diff = np.abs(roots[:, None] - roots[None, :])
-    np.fill_diagonal(diff, 1.0)
-    log_scale = math.log(abs(lead)) + np.sum(np.log(np.maximum(diff, 1.0)), axis=1)
-    with np.errstate(invalid="ignore", over="ignore"):
-        res = np.exp(log_p - np.maximum(log_scale, log_floor))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res = np.abs(pvals) / hmag
     return np.where(np.isnan(res), np.inf, res)
 
 
@@ -104,7 +97,7 @@ def _aberth_sweeps(coeffs: np.ndarray, z0: np.ndarray, tol_root: float, max_iter
     it = 0
     for it in range(1, max_iter + 1):
         p, dp, hmag = _horner_pair(coeffs, z)
-        res = _relative_residuals(p, coeffs[-1], z, hmag, tol_root)
+        res = _backward_errors(p, hmag)
         worst = float(res.max())
         if worst <= tol_root:
             return z, res, it, True
@@ -121,11 +114,8 @@ def _aberth_sweeps(coeffs: np.ndarray, z0: np.ndarray, tol_root: float, max_iter
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = p / dp
         newton = np.where(np.isfinite(newton), newton, 1e-2 * (1.0 + np.abs(z)))
-        d = z[:, None] - z[None, :]
-        np.fill_diagonal(d, np.inf)
-        repulsion = np.sum(1.0 / d, axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            corr = newton / (1.0 - newton * repulsion)
+            corr = newton / (1.0 - newton * _repulsion(z, _NO_POINTS))
         corr = np.where(np.isfinite(corr), corr, newton)
         z = z - corr
     return z, res, it, False
@@ -153,9 +143,11 @@ def solve_all(coeffs, *, tol_root: float = TOL_ROOT, max_iter: int = MAX_ITER) -
     """All roots of a coefficient polynomial (ascending coefficients).
 
     Aberth-Ehrlich iteration from a circle of starting points; if it stalls,
-    companion-matrix eigenvalues take over. Raises NoConvergence when both
-    routes miss the residual target, DegenerateInput for a zero leading
-    coefficient or degree < 1.
+    companion-matrix eigenvalues take over. A route's roots are accepted only
+    when every normwise relative backward error |P(z)| / sum|c_k||z|^k (the
+    ``residuals``) is at most ``tol_root``. Raises NoConvergence when both
+    routes miss it, DegenerateInput for a zero leading coefficient or
+    degree < 1.
     """
     c = np.asarray(coeffs, dtype=complex).ravel()
     if c.size < 2:
@@ -166,7 +158,7 @@ def solve_all(coeffs, *, tol_root: float = TOL_ROOT, max_iter: int = MAX_ITER) -
     if n == 1:
         root = np.array([-c[0] / c[1]])
         pv, _, hm = _horner_pair(c, root)
-        res = _relative_residuals(pv, c[-1], root, hm, tol_root)
+        res = _backward_errors(pv, hm)
         return RootFindReport(root, res, 0, bool(res.max() <= tol_root))
 
     radius = 1.0 + float(np.max(np.abs(c[:-1] / c[-1])))
@@ -178,7 +170,7 @@ def solve_all(coeffs, *, tol_root: float = TOL_ROOT, max_iter: int = MAX_ITER) -
 
     zc = companion_roots(c)
     pv, _, hm = _horner_pair(c, zc)
-    resc = _relative_residuals(pv, c[-1], zc, hm, tol_root)
+    resc = _backward_errors(pv, hm)
     if resc.max() <= tol_root:
         return RootFindReport(zc, resc, it, True)
     if res.max() <= resc.max():
@@ -288,70 +280,93 @@ def critical_points(p: RootPoly, *, max_iter: int = MAX_ITER) -> RootFindReport:
                         f"at Newton step {worst:.3e}")
 
 
-def _bisect_gaps(values: np.ndarray, counts: np.ndarray, gaps: np.ndarray) -> np.ndarray:
-    """Zero of sum(counts_j/(x - values_j)) inside each requested gap.
+def _gap_zeros(values: np.ndarray, counts: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """Zero of g(x) = sum(counts_j/(x - values_j)) inside each requested gap.
 
     ``gaps`` holds indices g, meaning the open interval (values[g], values[g+1]).
-    The sum is strictly decreasing there, from +inf down to -inf, so plain
-    bisection on the sign cannot leave the bracket: the result interlaces the
-    roots exactly.
+    g falls strictly from +inf to -inf there and g' = -sum(counts_j/(x - values_j)^2)
+    is known, so this is safeguarded Newton (``rtsafe``, Numerical Recipes 9.4):
+    each gap keeps a bracket updated from the sign of g at every evaluated
+    point, takes the Newton iterate only when it lies strictly inside the
+    bracket and shrinks faster than half the step before last, and bisects
+    otherwise. Every result stays strictly inside its gap, so it interlaces
+    the roots exactly. A gap stops once its Newton step or bracket width is at
+    most 4 eps max(1, |lo|, |hi|); stopped gaps leave the sweep. Raises
+    NoConvergence if any gap is still open after MAX_ITER sweeps.
     """
-    lo = values[gaps].astype(float).copy()
-    hi = values[gaps + 1].astype(float).copy()
+    lo = values[gaps].astype(float)
+    hi = values[gaps + 1].astype(float)
     cnt = counts.astype(float)
     eps = np.finfo(float).eps
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        with np.errstate(divide="ignore"):
-            g = (cnt / (mid[:, None] - values[None, :])).sum(axis=1)
-        positive = g > 0
-        lo = np.where(positive, mid, lo)
-        hi = np.where(positive, hi, mid)
-        width_ok = hi - lo <= 4.0 * eps * np.maximum(
-            1.0, np.maximum(np.abs(lo), np.abs(hi)))
-        if bool(np.all(width_ok)):
-            break
-    return 0.5 * (lo + hi)
+    out = np.empty(gaps.size)
+    pos = np.arange(gaps.size)
+    x = 0.5 * (lo + hi)
+    step = prev = hi - lo
+    for _ in range(MAX_ITER):
+        g, s2 = _log_deriv_sums(x, values, cnt)
+        right = g > 0
+        lo = np.where(right, x, lo)
+        hi = np.where(right, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = g / s2  # -g/g'
+        tol = 4.0 * eps * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+        # g == 0 gives a zero step; the step test comes before the bracket test,
+        # since a last Newton step may round onto the bracket's end
+        done = (np.abs(newton) <= tol) | (hi - lo <= tol)
+        if done.any():
+            xn = x[done] + newton[done]
+            inside = (lo[done] < xn) & (xn < hi[done])
+            out[pos[done]] = np.where(inside, xn, x[done])
+            keep = ~done
+            x, lo, hi, newton, step, prev, pos = (
+                a[keep] for a in (x, lo, hi, newton, step, prev, pos))
+            if not pos.size:
+                return out
+        xn = x + newton
+        take = (lo < xn) & (xn < hi) & (2.0 * np.abs(newton) <= np.abs(prev))
+        prev = step
+        step = np.where(take, newton, 0.5 * (hi - lo))
+        x = np.where(take, xn, 0.5 * (lo + hi))
+    raise NoConvergence(f"{pos.size} interlacing gaps still open after {MAX_ITER} sweeps")
+
+
+def _distinct_sorted(sorted_real_roots):
+    """Distinct values and multiplicities of finite real roots given in ascending order."""
+    x = np.asarray(sorted_real_roots, dtype=float).ravel()
+    if x.size < 2:
+        raise DegenerateInput("degree >= 2 required")
+    if not np.all(np.isfinite(x)):
+        raise DegenerateInput("roots must be finite")
+    if np.any(np.diff(x) < 0):
+        raise DegenerateInput("roots must be sorted ascending")
+    return np.unique(x, return_counts=True)
 
 
 def real_interlaced_critical_points(sorted_real_roots) -> np.ndarray:
-    """Critical points of prod(z - x_k) for sorted real roots, via bisection.
+    """Critical points of prod(z - x_k) for sorted real roots, by safeguarded Newton.
 
     Repeated roots (exact equality) are emitted directly with multiplicity
-    one less; one bisection runs per gap between consecutive distinct roots.
-    Output is sorted and has length n-1.
+    one less; one bracketed Newton solve runs per gap between consecutive
+    distinct roots. Output is sorted and has length n-1.
     """
-    x = np.asarray(sorted_real_roots, dtype=float).ravel()
-    n = x.size
-    if n < 2:
-        raise DegenerateInput("degree >= 2 required")
-    if np.any(np.diff(x) < 0):
-        raise DegenerateInput("roots must be sorted ascending")
-    values, counts = np.unique(x, return_counts=True)
+    values, counts = _distinct_sorted(sorted_real_roots)
     fixed = np.repeat(values, counts - 1)
     if values.size == 1:
         return fixed
-    interior = _bisect_gaps(values, counts, np.arange(values.size - 1))
+    interior = _gap_zeros(values, counts, np.arange(values.size - 1))
     return np.sort(np.concatenate([fixed, interior]))
 
 
 def interlaced_extremes(sorted_real_roots) -> tuple:
     """(smallest, largest) critical point of a sorted-real-rooted polynomial.
 
-    Only the two outermost gaps are bisected, which keeps extremal-gap
+    Only the two outermost gaps are solved, which keeps extremal-gap
     statistics cheap at large n.
     """
-    x = np.asarray(sorted_real_roots, dtype=float).ravel()
-    if x.size < 2:
-        raise DegenerateInput("degree >= 2 required")
-    if np.any(np.diff(x) < 0):
-        raise DegenerateInput("roots must be sorted ascending")
-    values, counts = np.unique(x, return_counts=True)
+    values, counts = _distinct_sorted(sorted_real_roots)
     if values.size == 1:
         return float(values[0]), float(values[0])
-    low = float(values[0]) if counts[0] > 1 else float(
-        _bisect_gaps(values, counts, np.array([0]))[0])
-    last = values.size - 2
-    high = float(values[-1]) if counts[-1] > 1 else float(
-        _bisect_gaps(values, counts, np.array([last]))[0])
-    return low, high
+    eta = _gap_zeros(values, counts, np.array([0, values.size - 2]))
+    low = values[0] if counts[0] > 1 else eta[0]
+    high = values[-1] if counts[-1] > 1 else eta[-1]
+    return float(low), float(high)

@@ -89,6 +89,13 @@ class TestZeroCriticalDistance:
         with pytest.raises(ComplexRoots):
             zero_critical_distance(RootPoly([1j, -1j]))
 
+    def test_equals_sorted_matching_exactly(self, rng):
+        for n in (2, 7, 200):
+            x = np.sort(rng.normal(size=n) * 2)
+            eta = real_interlaced_critical_points(x)
+            d = zero_critical_distance(RootPoly(x))
+            assert d == sorted_l1(x, np.concatenate([eta, [0.0]])).distance
+
     def test_mean_law_random(self, rng):
         for _ in range(60):
             n = int(rng.integers(2, 61))

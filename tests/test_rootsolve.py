@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import assert_multiset_close
-from spectralab.errors import DegenerateInput
+import spectralab.rootsolve as rootsolve
+from spectralab.errors import DegenerateInput, NoConvergence
 from spectralab.labcli.experiments import _walsh_roots
 from spectralab.measures import convex_hull_contains
 from spectralab.polycore import RootPoly, derivative_coefficients, expand_coefficients
 from spectralab.rootsolve import (
     NEWTON_TOL,
+    TOL_ROOT,
     companion_roots,
     critical_points,
     interlaced_extremes,
@@ -44,6 +46,17 @@ class TestSolveAll:
             solve_all([1.0])
         with pytest.raises(DegenerateInput):
             solve_all([1.0, 0.0])
+
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    def test_spread_coefficients_give_no_false_roots(self, n):
+        # 1 + 2z + ... + n z^(n-1) has every root in the unit disk
+        try:
+            rep = solve_all(np.arange(1.0, n + 1.0))
+        except NoConvergence:
+            return
+        assert rep.converged
+        assert rep.residuals.max() <= TOL_ROOT
+        assert np.abs(rep.roots).max() <= 1.0 + 1e-9
 
     def test_report_serializes(self):
         d = solve_all([-1, 0, 1]).to_json_dict()
@@ -99,6 +112,13 @@ class TestRealInterlaced:
         with pytest.raises(DegenerateInput):
             real_interlaced_critical_points([2.0, 1.0])
 
+    @pytest.mark.parametrize("roots", [[0.0, 1.0, np.nan], [0.0, 1.0, np.inf],
+                                       [-np.inf, 0.0, 1.0], [np.nan, np.nan]])
+    @pytest.mark.parametrize("solve", [real_interlaced_critical_points, interlaced_extremes])
+    def test_non_finite_refused(self, solve, roots):
+        with pytest.raises(DegenerateInput):
+            solve(roots)
+
     def test_agrees_with_general_solver(self, rng):
         for _ in range(25):
             n = int(rng.integers(3, 25))
@@ -113,6 +133,72 @@ class TestRealInterlaced:
         lo, hi = interlaced_extremes(x)
         assert lo == pytest.approx(full[0], abs=1e-13)
         assert hi == pytest.approx(full[-1], abs=1e-13)
+
+
+def bisect_gaps(values, counts, gaps):
+    """Fixed bisection on the sign of sum(counts/(x - values)) down to 4 eps; the oracle."""
+    lo = values[gaps].astype(float)
+    hi = values[gaps + 1].astype(float)
+    eps = np.finfo(float).eps
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        g = (counts / (mid[:, None] - values[None, :])).sum(axis=1)
+        lo, hi = np.where(g > 0, mid, lo), np.where(g > 0, hi, mid)
+        if np.all(hi - lo <= 4.0 * eps * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))):
+            break
+    return 0.5 * (lo + hi)
+
+
+def gap_inputs():
+    rng = np.random.default_rng(4)
+    return {
+        "exp1-2000": rng.exponential(size=2000),
+        "halfnormal-200": np.abs(rng.normal(size=200)),
+        "clusters-1e-12": np.concatenate([c + 1e-12 * np.arange(8)
+                                          for c in rng.normal(size=6)]),
+        "repeated": np.repeat(rng.normal(size=12), rng.integers(1, 4, size=12)),
+        "mixed-sign-1e-8-1e8": rng.choice([-1.0, 1.0], 60) * 10.0 ** rng.uniform(-8, 8, 60),
+    }
+
+
+class TestGapZeros:
+    @pytest.mark.parametrize("name", list(gap_inputs()))
+    def test_matches_bisection_and_interlaces_strictly(self, name):
+        values, counts = np.unique(gap_inputs()[name], return_counts=True)
+        gaps = np.arange(values.size - 1)
+        eta = rootsolve._gap_zeros(values, counts, gaps)
+        oracle = bisect_gaps(values, counts.astype(float), gaps)
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(eta - oracle) <= 16 * eps * np.maximum(1.0, np.abs(oracle)))
+        assert np.all((values[:-1] < eta) & (eta < values[1:]))
+
+    def test_narrow_gap_near_a_small_root_is_solved_to_ulps(self):
+        # the stop tolerance is absolute below 1, but the last Newton step still
+        # lands within ulps of the zero, so eta - x_min keeps its digits
+        rng = np.random.default_rng(4)
+        x = np.sort(np.concatenate([[3.7e-4, 3.7e-4 + 1e-8],
+                                    3.7e-4 + rng.exponential(size=200)]))
+        for eta in (real_interlaced_critical_points(x)[0], interlaced_extremes(x)[0]):
+            step = 2 * np.spacing(eta)
+            assert math.fsum(1.0 / (eta - step - x)) > 0 > math.fsum(1.0 / (eta + step - x))
+
+    def test_sweep_budget(self, monkeypatch):
+        calls = []
+        sums = rootsolve._log_deriv_sums
+
+        def counted(*args):
+            calls.append(1)
+            return sums(*args)
+
+        monkeypatch.setattr(rootsolve, "_log_deriv_sums", counted)
+        x = np.sort(np.random.default_rng(4).exponential(size=2000))
+        assert real_interlaced_critical_points(x).size == 1999
+        assert 1 <= len(calls) <= 25
+
+    def test_unconverged_gap_raises(self, monkeypatch):
+        monkeypatch.setattr(rootsolve, "MAX_ITER", 3)
+        with pytest.raises(NoConvergence):
+            real_interlaced_critical_points(np.sort(np.random.default_rng(4).exponential(size=50)))
 
 
 class TestInvariants:
