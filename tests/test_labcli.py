@@ -54,6 +54,94 @@ SMALL_PARAMS = {
 }
 
 
+# Pinned output files at SMALL_PARAMS, seed 7, 3 trials, with the extra
+# parameters below: the SHA-256 of every file a run writes (summary.json
+# without its wall_ms), keyed by file name. A file missing here must not be
+# written. The digests were taken before the experiments moved onto the
+# declarative runner and must not change when the runner does; floats come
+# from LAPACK, so a different numpy/LAPACK build may need them recomputed.
+PIN_EXTRA = {
+    "ginibre-intensity": {"spectra": 1, "svg": 1},
+    "poisson-limit": {"spectra": 1, "svg": 1},
+    "spherical-count": {"spectra": 1, "svg": 1},
+    "product-symmetry": {"spectra": 1, "svg": 1},
+    "thm1-convergence": {"diagnostics": 1},
+}
+
+PINNED_DIGESTS = {
+    "discrepancy": {
+        "summary.json": "88efd07a864a5492643e07c24807e13b5d289931d48bcb18950d0504c29dd39f",
+        "trials.csv": "05827aeecbb18c0fff2c5a5ad20af875c178fe4e038094e16ff81d384bd6c460",
+    },
+    "exp-spacing": {
+        "summary.json": "ae63899403ef03a757765ec8dee37c0286d572a0f6660969d8bce7bb1478f066",
+        "trials.csv": "080e8512955e71f1ac5c21f594b01dc15ed3450d21b660e20865083224ccead2",
+    },
+    "ginibre-intensity": {
+        "intensity.csv": "fe43bc4b8575680c926aa729130a195063cdc0db6e9c7cc004f5c6c3a04fb739",
+        "scatter.svg": "1adf195db085108ccae9c18b3696ee73e61f6b87c229fb878c785dbdd18a64cf",
+        "spectra.csv": "e9f56b09f67adb8f3d77cd8c886b9dbb4e3bab2f27f2b9f684c0dc53f1f7ea61",
+        "summary.json": "72f93806647092cc5f967657e8d265607d4ae82d5747dc8c56fb05c05bea1714",
+        "trials.csv": "7425e7d80115794b8560c89e4bcff03ed7e4a28549c56bdb29cdb6e58f729ae3",
+    },
+    "matching-lln": {
+        "summary.json": "6436f156fa8fb08a0a8a6a9a5bb5e5007c03e1dfe0b01a561e717857388a8d21",
+        "trials.csv": "f8ff496fbdf02ea8e7aee3e9840713557eaecf636f3648a8c0373e332e108eb0",
+    },
+    "poisson-limit": {
+        "intensity.csv": "58c1bfa663340a1d5a4634c3046e2c12b5adaae71d6292ebd4d8dc5bf53f359d",
+        "scatter.svg": "6cc3a1801adde8348c8b94cada0895f83019c9a75931d1f416a45de1c0074e41",
+        "spectra.csv": "d428bd5a2514ddca08e6028778d17964b9d901a5bfba489db50abca45a9b67a6",
+        "summary.json": "7093e377b7e179de816c4dac6792401743192c4c6278324fec34e15ad10b0998",
+        "trials.csv": "b4e9650bbd141b07449855362e2efff250967c82d3aedbe0d82421cb48f1e294",
+    },
+    "product-symmetry": {
+        "spectra.csv": "7343b9793af0b98c4af9d309ea81f00c0d792a0de5c359d8683f32b781911ac5",
+        "summary.json": "e5a418a70ff18354f198d50c6cb4f11a1a86c6cb629f1284bf5214b9b0c8ee04",
+        "trials.csv": "9f2e3ce65d55fca71d0cc63df3ee35e5c11d2b741df9fb71afefc09fc9ce3c54",
+    },
+    "real-eig": {
+        "summary.json": "9133fba6a735ba70a5bbfc93902326957fb8670114ada80875a40a449da1919e",
+        "trials.csv": "c2d30343d9e2dca2adfbfb2ba88f0d62e8ece2fa2ea3775f9201543ff53163b2",
+    },
+    "spherical-count": {
+        "scatter.svg": "0bb0126fcee9f72a10490dc8ac044c1dc3539504085fddbe4014a6581476e2c4",
+        "spectra.csv": "b614eee1613c8b35e305f23360b495c9bc0b2f08168fc4094a37eef9e87bfdb6",
+        "summary.json": "bfe6fc08031a8a05916053e625d3dddc41bd9ecee9b4a5d00720ea28a427f9ab",
+        "trials.csv": "a5df8cbac6b92e725d63d85b8180bbe36005deaba294735e3c64dd20b9860a17",
+    },
+    "thm1-convergence": {
+        "summary.json": "ffd65083af93ef52fba3e33710526ffb9ef0b3859bcbd09fcb264bcce87e8678",
+        "trials.csv": "6b7dda4c0512a5c9a41812b68696cebe6ce4737bfceead1b90a2b3b470d38d44",
+    },
+    "walsh-clusters": {
+        "summary.json": "55b8af6b1d2f85f9555d775a38332e623b59617c0ac8a09c3a1dc589d2066219",
+        "trials.csv": "f893213f1f26b1df14bf2f044ceefdde4c9b6823423c93aefa85e50a8b19c423",
+    },
+}
+
+
+def _output_digests(out_dir: Path) -> dict:
+    out = {}
+    for path in sorted(out_dir.iterdir()):
+        data = path.read_bytes()
+        if path.name == "summary.json":
+            payload = json.loads(data)
+            payload.pop("wall_ms")
+            data = json.dumps(payload, sort_keys=True).encode()
+        out[path.name] = hashlib.sha256(data).hexdigest()
+    return out
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("name,workers", [(name, 1) for name in sorted(ALL_NAMES)]
+                             + [("product-symmetry", 2)])
+    def test_output_files_are_pinned(self, name, workers, tmp_path):
+        params = {**SMALL_PARAMS[name], **PIN_EXTRA.get(name, {})}
+        run_experiment(ExperimentConfig(name, 7, 3, params, tmp_path, workers))
+        assert _output_digests(tmp_path) == PINNED_DIGESTS[name]
+
+
 class TestRegistry:
     def test_all_experiments_registered(self):
         assert set(EXPERIMENTS) == ALL_NAMES
