@@ -15,6 +15,8 @@ from ..errors import ConfigError, NumericalError, SpectraError
 from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
 
 DEFAULT_SEED = 42
+# config-file keys that are run settings, not experiment parameters
+_RUN_KEYS = ("experiment", "seed", "trials", "out", "workers")
 
 
 def _default_seed() -> int:
@@ -44,6 +46,18 @@ def _parse_config_file(path: str) -> dict:
     return out
 
 
+def _int_setting(flag, file_cfg: dict, key: str, default):
+    """The command-line flag if given, else the config file's value, else default."""
+    if flag is not None:
+        return flag
+    if key not in file_cfg:
+        return default
+    try:
+        return int(file_cfg[key])
+    except ValueError:
+        raise ConfigError(f"config {key} must be an integer, got {file_cfg[key]!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spectra-lab",
@@ -59,12 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="experiment parameter (repeatable)")
     run.add_argument("--config", help="flat key=value config file")
     run.add_argument("--out", default=None, help="output directory")
-    run.add_argument("--workers", type=int, default=1)
+    run.add_argument("--workers", type=int, default=None,
+                     help="worker processes (default 1)")
     run.add_argument("--svg", action="store_true", help="also write scatter.svg")
-    run.add_argument("--grid-size", type=int, default=None,
-                     help="polar grid size for potential diagnostics")
-    run.add_argument("--quad-nodes", type=int, default=None,
-                     help="trapezoid nodes for boundary-integral diagnostics")
 
     sub.add_parser("list", help="list registered experiments")
 
@@ -75,16 +86,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    file_cfg = _parse_config_file(args.config) if args.config else {}
-    name = args.experiment or file_cfg.pop("experiment", None)
+    params = _parse_config_file(args.config) if args.config else {}
+    file_cfg = {key: params.pop(key) for key in _RUN_KEYS if key in params}
+    name = args.experiment or file_cfg.get("experiment")
     if not name:
         raise ConfigError("an experiment name is required (--experiment or config)")
-    seed = args.seed if args.seed is not None else int(file_cfg.pop("seed", _default_seed()))
-    trials = args.trials if args.trials is not None else int(file_cfg.pop("trials", 10))
-    out_dir = args.out or file_cfg.pop("out", None) or f"spectra-out/{name}"
-    workers = args.workers if args.workers != 1 else int(file_cfg.pop("workers", 1))
+    seed = _int_setting(args.seed, file_cfg, "seed", None)
+    if seed is None:
+        seed = _default_seed()
+    trials = _int_setting(args.trials, file_cfg, "trials", 10)
+    out_dir = args.out or file_cfg.get("out") or f"spectra-out/{name}"
+    workers = _int_setting(args.workers, file_cfg, "workers", 1)
 
-    params = dict(file_cfg)
     for item in args.param:
         if "=" not in item:
             raise ConfigError(f"--param expects K=V, got {item!r}")
@@ -92,10 +105,6 @@ def _cmd_run(args) -> int:
         params[key.strip()] = value.strip()
     if args.svg:
         params["svg"] = 1
-    if args.grid_size is not None:
-        params["grid_size"] = args.grid_size
-    if args.quad_nodes is not None:
-        params["quad_nodes"] = args.quad_nodes
 
     cfg = ExperimentConfig(name=name, seed=seed, trials=trials, params=params,
                            output_dir=Path(out_dir), workers=workers)

@@ -4,6 +4,10 @@ Every experiment draws trial t from the stream (seed, hash(name) xor t), so
 single trials are reproducible in isolation and worker pools cannot change
 results, only wall time. Rows are written in trial order with repr-formatted
 floats: identical configurations produce byte-identical CSV.
+
+An experiment is an ExperimentDef: a trial function, a summary function and
+optional extra tables. The one runner, ``run_experiment``, owns the streams,
+the worker pool and every output file; each trial draws from its stream once.
 """
 
 from __future__ import annotations
@@ -11,12 +15,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -60,7 +65,6 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentConfig",
     "ExperimentDef",
-    "ExperimentResult",
     "TrialReport",
     "run_experiment",
     "stream_id_for",
@@ -94,61 +98,42 @@ class TrialReport:
     wall_ms: float
 
 
-class ExperimentResult(NamedTuple):
-    reports: list
-    summary: dict
-    scatter: np.ndarray | None
-    files: dict = {}
-
-
 @dataclass(frozen=True)
 class ExperimentDef:
+    """One registered experiment, declared for the runner.
+
+    trial(stream, params) -> (row, extras): one trial's trials.csv row and
+    its side data by name; a ``spectrum`` extra (tuple of SpectrumSamples)
+    feeds spectra.csv and scatter.svg. Point experiments name a list param
+    in ``points`` and get one row per entry from trial(stream, params,
+    entry, trials). summarize(params, rows, extras) -> summary dict.
+    files(params) -> {file name: text}. scatter_radius(params) clips trial
+    0's spectrum for scatter.svg; without it svg=1 writes no scatter.
+    """
+
     name: str
     description: str
     columns: tuple
     param_spec: dict
-    run: Callable
+    trial: Callable
+    summarize: Callable
+    files: Callable | None = None
+    points: str | None = None
+    scatter_radius: Callable | None = None
 
 
-def _timed(name, fn, seed, trial, params):
-    t0 = time.perf_counter()
-    try:
-        metrics = fn(seed, trial, params)
-    except NumericalError as exc:
-        # same type, plus what it takes to replay the trial on its own stream
-        raise type(exc)(f"{name} trial {trial} (seed {seed}, stream_id "
-                        f"{stream_id_for(name, trial)}): {exc}") from exc
-    return metrics, (time.perf_counter() - t0) * 1000.0
+def _column(rows, key) -> list:
+    return [row[key] for row in rows]
 
 
-def _run_trials(cfg: ExperimentConfig, fn, count: int | None = None) -> list:
-    n = cfg.trials if count is None else count
-    call = partial(_timed, cfg.name, fn)
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            outs = list(pool.map(call, [cfg.seed] * n, range(n), [cfg.params] * n))
-    else:
-        outs = [call(cfg.seed, t, cfg.params) for t in range(n)]
-    return [TrialReport(cfg.name, t, cfg.seed, metrics, wall)
-            for t, (metrics, wall) in enumerate(outs)]
+def _expected_count(n: int, u_lo: float, u_hi: float) -> float:
+    """Expected eigenvalue count of a variance-1/n Ginibre draw in u_lo <= n|z|^2 <= u_hi.
 
-
-def _spectrum_rows(params, trial, seed, spec):
-    if not params.get("spectra"):
-        return None
-    return [(trial, seed, spec.ensemble, spec.n, float(z.real), float(z.imag))
-            for z in spec.eigenvalues]
-
-
-def _spectra_file(reports) -> dict:
-    rows = []
-    for rep in reports:
-        rows.extend(rep.metrics.pop("_spectrum", None) or [])
-    if not rows:
-        return {}
-    lines = ["trial,seed,ensemble,n,re,im"]
-    lines += [f"{t},{s},{e},{n},{repr(re)},{repr(im)}" for t, s, e, n, re, im in rows]
-    return {"spectra.csv": "\n".join(lines) + "\n"}
+    The radial intensity integrates to int gammaincc(n, u) du. Radius r of
+    the n-th-power spectrum maps to u = n r^(2/n).
+    """
+    val, _ = quad(lambda u: gammaincc(n, u), u_lo, u_hi)
+    return float(val)
 
 
 def _intensity_table(radii, values) -> str:
@@ -159,8 +144,7 @@ def _intensity_table(radii, values) -> str:
 
 # --- exp-spacing -----------------------------------------------------------
 
-def _exp_spacing_trial(seed, trial, params):
-    stream = RngStream(seed, stream_id_for("exp-spacing", trial))
+def _exp_spacing_trial(stream, params):
     x = sample_exponential(stream, params["n"], params["rate"])
     gaps = extremal_gap_statistic(x)
     d1 = zero_critical_distance(RootPoly(np.sort(x)))
@@ -170,73 +154,59 @@ def _exp_spacing_trial(seed, trial, params):
         "right_stat": gaps.right,
         "d1": d1,
         "mean_roots": float(np.mean(x)),
-    }
+    }, {}
 
 
-def _exp_spacing_run(cfg: ExperimentConfig) -> ExperimentResult:
-    reports = _run_trials(cfg, _exp_spacing_trial)
-    left = [r.metrics["left_stat"] for r in reports]
-    right = [r.metrics["right_stat"] for r in reports]
-    summary = {
-        "median_left_stat": float(np.median(left)),
-        "median_right_stat": float(np.median(right)),
-        "mean_d1": float(np.mean([r.metrics["d1"] for r in reports])),
-        "mean_roots": float(np.mean([r.metrics["mean_roots"] for r in reports])),
+def _exp_spacing_summary(params, rows, extras):
+    return {
+        "median_left_stat": float(np.median(_column(rows, "left_stat"))),
+        "median_right_stat": float(np.median(_column(rows, "right_stat"))),
+        "mean_d1": float(np.mean(_column(rows, "d1"))),
+        "mean_roots": float(np.mean(_column(rows, "mean_roots"))),
     }
-    return ExperimentResult(reports, summary, None)
 
 
 # --- matching-lln ----------------------------------------------------------
 
-def _matching_lln_trial(seed, trial, params):
-    stream = RngStream(seed, stream_id_for("matching-lln", trial))
+def _matching_lln_trial(stream, params):
     g = stream.generator()
     x = np.abs(g.normal(0.0, 1.0, params["n"]))
     d1 = zero_critical_distance(RootPoly(np.sort(x)))
-    return {"n": params["n"], "d1": d1, "mean_roots": float(np.mean(x))}
+    return {"n": params["n"], "d1": d1, "mean_roots": float(np.mean(x))}, {}
 
 
-def _matching_lln_run(cfg: ExperimentConfig) -> ExperimentResult:
-    reports = _run_trials(cfg, _matching_lln_trial)
-    d1s = [r.metrics["d1"] for r in reports]
+def _matching_lln_summary(params, rows, extras):
     target = math.sqrt(2.0 / math.pi)
-    mean_d1 = float(np.mean(d1s))
-    summary = {
+    mean_d1 = float(np.mean(_column(rows, "d1")))
+    return {
         "mean_d1": mean_d1,
         "target_first_moment": target,
         "relative_gap": abs(mean_d1 - target) / target,
     }
-    return ExperimentResult(reports, summary, None)
 
 
 # --- thm1-convergence ------------------------------------------------------
 
-def _circle_sequences(n: int):
-    k = np.arange(1, n + 1)
-    a = np.exp(2j * np.pi * np.mod(k * _GOLDEN, 1.0))
-    return a, -a
-
-
-def _thm1_trial(seed, trial, params):
-    stream = RngStream(seed, stream_id_for("thm1-convergence", trial))
+def _thm1_trial(stream, params):
     g = stream.generator()
     n_small, n_large = params["n_small"], params["n_large"]
-    a, b = _circle_sequences(n_large)
-    xi = two_sequence_pick(a, b, 0.5, g)
+    k = np.arange(1, n_large + 1)
+    a = np.exp(2j * np.pi * np.mod(k * _GOLDEN, 1.0))
+    xi = two_sequence_pick(a, -a, 0.5, g)
     ref = np.exp(2j * np.pi * (np.arange(params["ref_points"]) + 0.5)
                  / params["ref_points"])
     ref_measure = EmpiricalMeasure(ref)
-    proj_seed = stream_id_for("thm1-convergence", trial) ^ seed
-    out = {}
+    proj_seed = stream.stream_id ^ stream.seed
+    out, crit = {}, {}
     for label, m in (("small", n_small), ("large", n_large)):
-        crit = critical_points(RootPoly(xi[:m])).roots
+        crit[label] = critical_points(RootPoly(xi[:m])).roots
         out[f"w1_{label}"] = sliced_wasserstein2d(
-            EmpiricalMeasure(crit), ref_measure, params["n_proj"], proj_seed)
+            EmpiricalMeasure(crit[label]), ref_measure, params["n_proj"], proj_seed)
     out["improved"] = int(out["w1_large"] < out["w1_small"])
-    return out
+    return out, {"xi": xi[:n_small], "crit": crit["small"]}
 
 
-def _thm1_potential_report(cfg: ExperimentConfig) -> dict:
+def _thm1_potential_report(params, xi, crit) -> dict:
     """Log-potential diagnostics of one sampled instance at size n_small.
 
     Probes the normalized log of the logarithmic derivative on a ring, the
@@ -244,16 +214,9 @@ def _thm1_potential_report(cfg: ExperimentConfig) -> dict:
     boundary-integral identity relating the critical points to the roots
     (quad_nodes controls the trapezoid rule).
     """
-    params = cfg.params
-    stream = RngStream(cfg.seed, stream_id_for("thm1-convergence", cfg.trials - 1))
-    g = stream.generator()
-    n = params["n_small"]
-    a, b = _circle_sequences(n)
-    xi = two_sequence_pick(a, b, 0.5, g)
     probes = 1.5 * np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
     diag = potential_diagnostics(WeightedLogDeriv(xi), probes, eps=0.05, r=1.25,
                                  grid_size=params["grid_size"])
-    crit = critical_points(RootPoly(xi)).roots
     z0 = 0.29 + 0.07j
     while min(np.min(np.abs(z0 - xi)), np.min(np.abs(z0 - crit))) < 1e-6:
         z0 += 0.001 + 0.002j
@@ -263,18 +226,16 @@ def _thm1_potential_report(cfg: ExperimentConfig) -> dict:
     return out
 
 
-def _thm1_run(cfg: ExperimentConfig) -> ExperimentResult:
-    reports = _run_trials(cfg, _thm1_trial)
-    small = [r.metrics["w1_small"] for r in reports]
-    large = [r.metrics["w1_large"] for r in reports]
+def _thm1_summary(params, rows, extras):
     summary = {
-        "median_w1_small": float(np.median(small)),
-        "median_w1_large": float(np.median(large)),
-        "fraction_improved": float(np.mean([r.metrics["improved"] for r in reports])),
+        "median_w1_small": float(np.median(_column(rows, "w1_small"))),
+        "median_w1_large": float(np.median(_column(rows, "w1_large"))),
+        "fraction_improved": float(np.mean(_column(rows, "improved"))),
     }
-    if cfg.params["diagnostics"]:
-        summary["diagnostics"] = _thm1_potential_report(cfg)
-    return ExperimentResult(reports, summary, None)
+    if params["diagnostics"]:
+        # the last trial's instance, cut to n_small
+        summary["diagnostics"] = _thm1_potential_report(params, **extras[-1])
+    return summary
 
 
 # --- ginibre-intensity -----------------------------------------------------
@@ -283,130 +244,84 @@ def _ginibre_bins(params):
     return np.linspace(params["r_lo"], params["r_hi"], params["bins"] + 1)
 
 
-def _ginibre_intensity_trial(seed, trial, params):
-    stream = RngStream(seed, stream_id_for("ginibre-intensity", trial))
+def _ginibre_intensity_trial(stream, params):
     n = params["n"]
     spec = eigenvalues(sample_ginibre(stream, n, 1.0 / n),
                        ensemble="ginibre", params={"variance": 1.0 / n})
     radii = np.abs(spec.eigenvalues)
     counts, _ = np.histogram(radii, bins=_ginibre_bins(params))
-    out = {f"count_b{i}": int(c) for i, c in enumerate(counts)}
-    rows = _spectrum_rows(params, trial, seed, spec)
-    if rows is not None:
-        out["_spectrum"] = rows
-    return out
+    return {f"count_b{i}": int(c) for i, c in enumerate(counts)}, {"spectrum": (spec,)}
 
 
-def expected_ginibre_bin_counts(n: int, edges: np.ndarray) -> np.ndarray:
-    """Analytic expected eigenvalue counts per radial bin, variance-1/n entries.
-
-    The radial intensity integrates, after u = n r^2, to
-    int gammaincc(n, u) du over the transformed bin.
-    """
-    out = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, _ = quad(lambda u: gammaincc(n, u), n * lo * lo, n * hi * hi)
-        out.append(val)
-    return np.array(out)
-
-
-def _ginibre_intensity_run(cfg: ExperimentConfig) -> ExperimentResult:
-    reports = _run_trials(cfg, _ginibre_intensity_trial)
-    edges = _ginibre_bins(cfg.params)
-    nbins = cfg.params["bins"]
-    mean_counts = np.array([
-        np.mean([r.metrics[f"count_b{i}"] for r in reports]) for i in range(nbins)])
-    expected = expected_ginibre_bin_counts(cfg.params["n"], edges)
+def _ginibre_intensity_summary(params, rows, extras):
+    edges = _ginibre_bins(params)
+    mean_counts = np.array([np.mean(_column(rows, f"count_b{i}"))
+                            for i in range(params["bins"])])
+    n = params["n"]
+    expected = np.array([_expected_count(n, n * lo * lo, n * hi * hi)
+                         for lo, hi in zip(edges[:-1], edges[1:])])
     rel_err = np.abs(mean_counts - expected) / expected
-    stream = RngStream(cfg.seed, stream_id_for("ginibre-intensity", 0))
-    scatter = eigenvalues(sample_ginibre(stream, cfg.params["n"],
-                                         1.0 / cfg.params["n"])).eigenvalues
-    summary = {
+    return {
         "bin_edges": [float(e) for e in edges],
         "mean_counts": [float(c) for c in mean_counts],
         "expected_counts": [float(c) for c in expected],
         "max_relative_error": float(rel_err.max()),
     }
-    n = cfg.params["n"]
+
+
+def _ginibre_intensity_files(params):
+    n = params["n"]
     table_r = np.linspace(0.01, 1.25, 125)
     table_rho = [float(n * math.exp(_power_log_cdf(n, n * r * r))) / math.pi
                  for r in table_r]
-    files = {"intensity.csv": _intensity_table(table_r, table_rho)}
-    files.update(_spectra_file(reports))
-    return ExperimentResult(reports, summary, scatter, files)
+    return {"intensity.csv": _intensity_table(table_r, table_rho)}
 
 
 # --- poisson-limit ---------------------------------------------------------
 
-def _poisson_limit_trial(seed, trial, params):
-    stream = RngStream(seed, stream_id_for("poisson-limit", trial))
+def _poisson_limit_trial(stream, params):
     spec = power_spectrum_sample(stream, params["n"])
     radii = np.abs(spec.eigenvalues)
     count = int(np.sum((radii >= params["r_lo"]) & (radii <= params["r_hi"])))
-    out = {"count": count}
-    rows = _spectrum_rows(params, trial, seed, spec)
-    if rows is not None:
-        out["_spectrum"] = rows
-    return out
+    return {"count": count}, {"spectrum": (spec,)}
 
 
-def expected_power_annulus_count(n: int, r_lo: float, r_hi: float) -> float:
-    """Exact expected count of powered eigenvalues in r_lo <= |mu| <= r_hi."""
-    val, _ = quad(lambda w: gammaincc(n, w),
-                  n * r_lo ** (2.0 / n), n * r_hi ** (2.0 / n))
-    return float(val)
-
-
-def _poisson_limit_run(cfg: ExperimentConfig) -> ExperimentResult:
-    reports = _run_trials(cfg, _poisson_limit_trial)
-    counts = np.array([r.metrics["count"] for r in reports], dtype=float)
+def _poisson_limit_summary(params, rows, extras):
+    n = params["n"]
+    counts = np.array(_column(rows, "count"), dtype=float)
     mean = float(np.mean(counts))
     var = float(np.var(counts, ddof=1)) if counts.size > 1 else 0.0
-    stream = RngStream(cfg.seed, stream_id_for("poisson-limit", 0))
-    scatter = power_spectrum_sample(stream, cfg.params["n"]).eigenvalues
-    scatter = scatter[np.abs(scatter) <= 4.0 * cfg.params["r_hi"]]
-    summary = {
+    return {
         "mean_count": mean,
         "count_variance": var,
         "variance_over_mean": var / mean if mean else float("nan"),
-        "analytic_expected": expected_power_annulus_count(
-            cfg.params["n"], cfg.params["r_lo"], cfg.params["r_hi"]),
+        "analytic_expected": _expected_count(
+            n, n * params["r_lo"] ** (2.0 / n), n * params["r_hi"] ** (2.0 / n)),
     }
-    table_r = np.linspace(0.5 * cfg.params["r_lo"], 2.0 * cfg.params["r_hi"], 121)
-    files = {"intensity.csv": _intensity_table(
-        table_r, [power_intensity(cfg.params["n"], r) for r in table_r])}
-    files.update(_spectra_file(reports))
-    return ExperimentResult(reports, summary,
-                            scatter if scatter.size else None, files)
+
+
+def _poisson_limit_files(params):
+    table_r = np.linspace(0.5 * params["r_lo"], 2.0 * params["r_hi"], 121)
+    return {"intensity.csv": _intensity_table(
+        table_r, [power_intensity(params["n"], r) for r in table_r])}
 
 
 # --- spherical-count -------------------------------------------------------
 
-def _spherical_count_trial(seed, trial, params):
-    stream = RngStream(seed, stream_id_for("spherical-count", trial))
+def _spherical_count_trial(stream, params):
     spec = sample_product_ensemble(stream, params["n"], (-1, +1))
-    out = {"count_unit_disk": int(np.sum(np.abs(spec.eigenvalues) <= 1.0))}
-    rows = _spectrum_rows(params, trial, seed, spec)
-    if rows is not None:
-        out["_spectrum"] = rows
-    return out
+    count = int(np.sum(np.abs(spec.eigenvalues) <= 1.0))
+    return {"count_unit_disk": count}, {"spectrum": (spec,)}
 
 
-def _spherical_count_run(cfg: ExperimentConfig) -> ExperimentResult:
-    reports = _run_trials(cfg, _spherical_count_trial)
-    counts = np.array([r.metrics["count_unit_disk"] for r in reports], dtype=float)
-    stream = RngStream(cfg.seed, stream_id_for("spherical-count", 0))
-    scatter = sample_product_ensemble(stream, cfg.params["n"], (-1, +1)).eigenvalues
-    scatter = scatter[np.abs(scatter) <= 5.0]
-    summary = {
+def _spherical_count_summary(params, rows, extras):
+    counts = np.array(_column(rows, "count_unit_disk"), dtype=float)
+    return {
         "mean_count": float(np.mean(counts)),
-        "expected_count": cfg.params["n"] / 2.0,
+        "expected_count": params["n"] / 2.0,
         "stderr": float(np.std(counts, ddof=1) / math.sqrt(counts.size))
         if counts.size > 1 else 0.0,
     }
-    files = _spectra_file(reports)
-    return ExperimentResult(reports, summary,
-                            scatter if scatter.size else None, files)
 
 
 # --- product-symmetry ------------------------------------------------------
@@ -418,37 +333,26 @@ def _parse_pattern(text: str):
     return eps
 
 
-def _product_symmetry_trial(seed, trial, params):
-    stream = RngStream(seed, stream_id_for("product-symmetry", trial))
+def _product_symmetry_trial(stream, params):
     g = stream.generator()
     spec_a = sample_product_ensemble(g, params["n"], _parse_pattern(params["pattern_a"]))
     spec_b = sample_product_ensemble(g, params["n"], _parse_pattern(params["pattern_b"]))
-    ra = np.abs(spec_a.eigenvalues)
-    rb = np.abs(spec_b.eigenvalues)
-    out = {
-        "mean_radius_a": float(np.mean(ra)),
-        "mean_radius_b": float(np.mean(rb)),
-        "_radii_a": ra.tolist(),
-        "_radii_b": rb.tolist(),
-    }
-    rows_a = _spectrum_rows(params, trial, seed, spec_a)
-    rows_b = _spectrum_rows(params, trial, seed, spec_b)
-    if rows_a is not None:
-        out["_spectrum"] = rows_a + rows_b
-    return out
+    return {
+        "mean_radius_a": float(np.mean(np.abs(spec_a.eigenvalues))),
+        "mean_radius_b": float(np.mean(np.abs(spec_b.eigenvalues))),
+    }, {"spectrum": (spec_a, spec_b)}
 
 
-def _product_symmetry_run(cfg: ExperimentConfig) -> ExperimentResult:
-    reports = _run_trials(cfg, _product_symmetry_trial)
-    pooled_a = np.concatenate([r.metrics.pop("_radii_a") for r in reports])
-    pooled_b = np.concatenate([r.metrics.pop("_radii_b") for r in reports])
-    summary = {
+def _product_symmetry_summary(params, rows, extras):
+    pooled_a, pooled_b = (
+        np.concatenate([np.abs(ex["spectrum"][i].eigenvalues) for ex in extras])
+        for i in (0, 1))
+    return {
         "ks_statistic": ks_two_sample(pooled_a, pooled_b),
         "pooled_points_each": int(pooled_a.size),
-        "pattern_a": cfg.params["pattern_a"],
-        "pattern_b": cfg.params["pattern_b"],
+        "pattern_a": params["pattern_a"],
+        "pattern_b": params["pattern_b"],
     }
-    return ExperimentResult(reports, summary, None, _spectra_file(reports))
 
 
 # --- real-eig --------------------------------------------------------------
@@ -463,47 +367,37 @@ def _parse_int_list(text: str):
     return vals
 
 
-def _real_eig_point(seed, index, params):
-    factors = _parse_int_list(params["factors"])
-    nf = factors[index]
-    stream = RngStream(seed, stream_id_for("real-eig", index))
+def _real_eig_point(stream, params, n_factors, trials):
     if params["entries"] == "gaussian":
         sampler = gaussian_entries
     elif params["entries"] == "bernoulli":
         sampler = bernoulli_entries(params["q"])
     else:
         raise BadParams(f"unknown entries kind {params['entries']!r}")
-    est = real_eig_probability(stream, params["k"], nf, sampler, params["mc_trials"])
-    return {"n_factors": nf, "p_hat": est.p_hat, "stderr": est.stderr,
-            "mc_trials": est.trials}
+    est = real_eig_probability(stream, params["k"], n_factors, sampler, trials)
+    return {"n_factors": n_factors, "p_hat": est.p_hat, "stderr": est.stderr,
+            "mc_trials": est.trials}, {}
 
 
-def _real_eig_run(cfg: ExperimentConfig) -> ExperimentResult:
-    factors = _parse_int_list(cfg.params["factors"])
-    params = dict(cfg.params)
-    params["mc_trials"] = cfg.trials
-    cfg2 = ExperimentConfig(cfg.name, cfg.seed, cfg.trials, params,
-                            cfg.output_dir, cfg.workers)
-    reports = _run_trials(cfg2, _real_eig_point, count=len(factors))
-    p_hats = [r.metrics["p_hat"] for r in reports]
-    stderrs = [r.metrics["stderr"] for r in reports]
+def _real_eig_summary(params, rows, extras):
+    p_hats = _column(rows, "p_hat")
+    stderrs = _column(rows, "stderr")
     monotone = all(p_hats[i + 1] >= p_hats[i] - 2.0 * max(stderrs[i], stderrs[i + 1])
                    for i in range(len(p_hats) - 1))
-    summary = {
-        "factors": list(factors),
+    return {
+        "factors": list(_parse_int_list(params["factors"])),
         "p_hats": [float(p) for p in p_hats],
         "stderrs": [float(s) for s in stderrs],
         "monotone_within_2_stderr": bool(monotone),
-        "entries": cfg.params["entries"],
+        "entries": params["entries"],
     }
-    return ExperimentResult(reports, summary, None)
 
 
 # --- walsh-clusters --------------------------------------------------------
 
-def _walsh_roots(seed, trial, params):
+def _walsh_roots(stream, params):
     """Cluster centers and the k * n_per_cluster roots of one walsh-clusters trial."""
-    g = RngStream(seed, stream_id_for("walsh-clusters", trial)).generator()
+    g = stream.generator()
     k = params["k"]
     radius = params["radius"]
     n_per = params["n_per_cluster"]
@@ -518,12 +412,12 @@ def _walsh_roots(seed, trial, params):
     return centers, np.concatenate(roots)
 
 
-def _walsh_trial(seed, trial, params):
+def _walsh_trial(stream, params):
     k = params["k"]
     radius = params["radius"]
     eps = params["eps"]
     n_per = params["n_per_cluster"]
-    centers, roots = _walsh_roots(seed, trial, params)
+    centers, roots = _walsh_roots(stream, params)
     crit = critical_points(RootPoly(roots)).roots
     spec = ClusterSpec(centers, radius, 5.0 * k + 2.0 * radius)
     defs = cluster_deficiency(spec, crit, eps, n_per)
@@ -532,24 +426,20 @@ def _walsh_trial(seed, trial, params):
         "max_deficiency": int(max(defs)),
         "bound": bound,
         "violated": int(max(defs) > bound),
-    }
+    }, {}
 
 
-def _walsh_run(cfg: ExperimentConfig) -> ExperimentResult:
-    reports = _run_trials(cfg, _walsh_trial)
-    summary = {
-        "violations": int(sum(r.metrics["violated"] for r in reports)),
-        "max_deficiency": int(max(r.metrics["max_deficiency"] for r in reports)),
-        "bound": float(reports[0].metrics["bound"]),
+def _walsh_summary(params, rows, extras):
+    return {
+        "violations": int(sum(_column(rows, "violated"))),
+        "max_deficiency": int(max(_column(rows, "max_deficiency"))),
+        "bound": float(rows[0]["bound"]),
     }
-    return ExperimentResult(reports, summary, None)
 
 
 # --- discrepancy -----------------------------------------------------------
 
-def _discrepancy_point(seed, index, params):
-    sizes = _parse_int_list(params["n_list"])
-    n = sizes[index]
+def _discrepancy_point(stream, params, n, trials):
     # zeros of the derivative of 1 + z + ... + z^n, whose roots are the
     # (n+1)-th roots of unity other than 1, plus the double root at 1
     # carried by the (z-1)^2 cofactor of the closed-form numerator
@@ -568,115 +458,114 @@ def _discrepancy_point(seed, index, params):
         "discrepancy_sq": disc * disc,
         "et_rhs": rhs,
         "within_bound": int(disc * disc <= rhs),
-    }
+    }, {}
 
 
-def _discrepancy_run(cfg: ExperimentConfig) -> ExperimentResult:
-    sizes = _parse_int_list(cfg.params["n_list"])
-    reports = _run_trials(cfg, _discrepancy_point, count=len(sizes))
-    discs = [r.metrics["discrepancy"] for r in reports]
-    summary = {
-        "sizes": list(sizes),
+def _discrepancy_summary(params, rows, extras):
+    discs = _column(rows, "discrepancy")
+    return {
+        "sizes": list(_parse_int_list(params["n_list"])),
         "discrepancies": [float(d) for d in discs],
         "monotone_decreasing": bool(all(b < a for a, b in zip(discs, discs[1:]))),
-        "all_within_bound": bool(all(r.metrics["within_bound"] for r in reports)),
+        "all_within_bound": bool(all(_column(rows, "within_bound"))),
     }
-    return ExperimentResult(reports, summary, None)
 
 
 # --- registry --------------------------------------------------------------
 
-def _spec(**kw):
-    return kw
-
-
-EXPERIMENTS = {
-    "exp-spacing": ExperimentDef(
+EXPERIMENTS = {edef.name: edef for edef in (
+    ExperimentDef(
         "exp-spacing",
         "extremal zero/critical spacing statistics for exponential samples",
         ("trial", "n", "seed", "left_stat", "right_stat", "d1", "mean_roots"),
-        _spec(n=(int, 2000), rate=(float, 1.0)),
-        _exp_spacing_run,
+        dict(n=(int, 2000), rate=(float, 1.0)),
+        _exp_spacing_trial, _exp_spacing_summary,
     ),
-    "matching-lln": ExperimentDef(
+    ExperimentDef(
         "matching-lln",
         "matching distance of half-normal-rooted polynomials vs the first moment",
         ("trial", "n", "seed", "d1", "mean_roots"),
-        _spec(n=(int, 200)),
-        _matching_lln_run,
+        dict(n=(int, 200)),
+        _matching_lln_trial, _matching_lln_summary,
     ),
-    "thm1-convergence": ExperimentDef(
+    ExperimentDef(
         "thm1-convergence",
         "critical-point measure convergence for two-sequence random picks",
         ("trial", "seed", "w1_small", "w1_large", "improved"),
-        _spec(n_small=(int, 100), n_large=(int, 1600), n_proj=(int, 64),
-              ref_points=(int, 2048), diagnostics=(int, 0), grid_size=(int, 96),
-              quad_nodes=(int, 4096)),
-        _thm1_run,
+        dict(n_small=(int, 100), n_large=(int, 1600), n_proj=(int, 64),
+             ref_points=(int, 2048), diagnostics=(int, 0), grid_size=(int, 96),
+             quad_nodes=(int, 4096)),
+        _thm1_trial, _thm1_summary,
     ),
-    "ginibre-intensity": ExperimentDef(
+    ExperimentDef(
         "ginibre-intensity",
         "radial eigenvalue histogram against the kernel intensity",
         ("trial", "seed") + tuple(f"count_b{i}" for i in range(7)),
-        _spec(n=(int, 64), r_lo=(float, 0.2), r_hi=(float, 0.9), bins=(int, 7)),
-        _ginibre_intensity_run,
+        dict(n=(int, 64), r_lo=(float, 0.2), r_hi=(float, 0.9), bins=(int, 7)),
+        _ginibre_intensity_trial, _ginibre_intensity_summary,
+        files=_ginibre_intensity_files,
+        scatter_radius=lambda params: math.inf,
     ),
-    "poisson-limit": ExperimentDef(
+    ExperimentDef(
         "poisson-limit",
         "annulus counts of powered Ginibre spectra against the limit intensity",
         ("trial", "seed", "count"),
-        _spec(n=(int, 64), r_lo=(float, 1.0), r_hi=(float, math.e)),
-        _poisson_limit_run,
+        dict(n=(int, 64), r_lo=(float, 1.0), r_hi=(float, math.e)),
+        _poisson_limit_trial, _poisson_limit_summary,
+        files=_poisson_limit_files,
+        scatter_radius=lambda params: 4.0 * params["r_hi"],
     ),
-    "spherical-count": ExperimentDef(
+    ExperimentDef(
         "spherical-count",
         "unit-disk eigenvalue counts of the inverse-pair product ensemble",
         ("trial", "seed", "count_unit_disk"),
-        _spec(n=(int, 32)),
-        _spherical_count_run,
+        dict(n=(int, 32)),
+        _spherical_count_trial, _spherical_count_summary,
+        scatter_radius=lambda params: 5.0,
     ),
-    "product-symmetry": ExperimentDef(
+    ExperimentDef(
         "product-symmetry",
         "radial spectra of two inversion patterns with equal signature sum",
         ("trial", "seed", "mean_radius_a", "mean_radius_b"),
-        _spec(n=(int, 16), pattern_a=(str, "-++"), pattern_b=(str, "++-")),
-        _product_symmetry_run,
+        dict(n=(int, 16), pattern_a=(str, "-++"), pattern_b=(str, "++-")),
+        _product_symmetry_trial, _product_symmetry_summary,
     ),
-    "real-eig": ExperimentDef(
+    ExperimentDef(
         "real-eig",
         "probability that k x k matrix products have an all-real spectrum "
         "(one row per factor count; --trials sets the Monte Carlo budget)",
         ("trial", "seed", "n_factors", "p_hat", "stderr", "mc_trials"),
-        _spec(k=(int, 2), factors=(str, "1,2,4,8"), entries=(str, "gaussian"),
-              q=(float, 0.5)),
-        _real_eig_run,
+        dict(k=(int, 2), factors=(str, "1,2,4,8"), entries=(str, "gaussian"),
+             q=(float, 0.5)),
+        _real_eig_point, _real_eig_summary,
+        points="factors",
     ),
-    "walsh-clusters": ExperimentDef(
+    ExperimentDef(
         "walsh-clusters",
         "critical-point deficiencies of clustered roots against the escape bound",
         ("trial", "seed", "max_deficiency", "bound", "violated"),
-        _spec(k=(int, 2), n_per_cluster=(int, 20), radius=(float, 0.5),
-              eps=(float, 0.45)),
-        _walsh_run,
+        dict(k=(int, 2), n_per_cluster=(int, 20), radius=(float, 0.5),
+             eps=(float, 0.45)),
+        _walsh_trial, _walsh_summary,
     ),
-    "discrepancy": ExperimentDef(
+    ExperimentDef(
         "discrepancy",
         "angular discrepancy of derivative zeros vs the coefficient bound "
         "(one row per size in n_list; --trials is ignored)",
         ("trial", "seed", "n", "discrepancy", "discrepancy_sq", "et_rhs",
          "within_bound"),
-        _spec(n_list=(str, "32,64,128,256"), C=(float, 10.0)),
-        _discrepancy_run,
+        dict(n_list=(str, "32,64,128,256"), C=(float, 10.0)),
+        _discrepancy_point, _discrepancy_summary,
+        points="n_list",
     ),
-}
+)}
 
 _UNIVERSAL_PARAMS = {"svg": (int, 0), "spectra": (int, 0)}
 
 
 def _coerce_params(edef: ExperimentDef, raw: dict) -> dict:
-    out = {}
-    spec = dict(edef.param_spec)
-    spec.update(_UNIVERSAL_PARAMS)
+    spec = {**edef.param_spec, **_UNIVERSAL_PARAMS}
+    out = {key: default for key, (_, default) in spec.items()}
     for key, value in raw.items():
         if key not in spec:
             raise BadParams(f"unknown parameter {key!r} for {edef.name}")
@@ -685,19 +574,30 @@ def _coerce_params(edef: ExperimentDef, raw: dict) -> dict:
             out[key] = caster(value)
         except (TypeError, ValueError) as exc:
             raise BadParams(f"parameter {key!r}: cannot convert {value!r}") from exc
-    for key, (_, default) in spec.items():
-        out.setdefault(key, default)
     return out
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
+
+
+def _run_trial(name, seed, trials, params, t, point):
+    """Row t of experiment ``name`` on its own stream, timed; runs in workers too."""
+    edef = EXPERIMENTS[name]
+    stream = RngStream(seed, stream_id_for(name, t))
+    args = (stream, params) if point is None else (stream, params, point, trials)
+    t0 = time.perf_counter()
+    try:
+        row, extras = edef.trial(*args)
+    except NumericalError as exc:
+        # same type, plus what it takes to replay the trial on its own stream
+        raise type(exc)(f"{name} trial {t} (seed {seed}, stream_id "
+                        f"{stream.stream_id}): {exc}") from exc
+    return TrialReport(name, t, seed, row, (time.perf_counter() - t0) * 1000.0), extras
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -711,12 +611,23 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             f"{cfg.name!r}; known: {', '.join(sorted(EXPERIMENTS))}")
     if cfg.trials < 1:
         raise BadParams("trials must be >= 1")
+    if cfg.workers < 1:
+        raise BadParams("workers must be >= 1")
     edef = EXPERIMENTS[cfg.name]
     params = _coerce_params(edef, cfg.params)
-    cfg = ExperimentConfig(cfg.name, cfg.seed, cfg.trials, params,
-                           cfg.output_dir, cfg.workers)
+    points = _parse_int_list(params[edef.points]) if edef.points else [None] * cfg.trials
     t0 = time.perf_counter()
-    result = edef.run(cfg)
+    call = partial(_run_trial, cfg.name, cfg.seed, cfg.trials, params)
+    # a process pool forks all its workers up front, so never ask for more
+    # than there are rows or cores
+    workers = min(cfg.workers, len(points), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outs = list(pool.map(call, range(len(points)), points))
+    else:
+        outs = [call(t, point) for t, point in enumerate(points)]
+    reports, extras = zip(*outs)
+    summary = edef.summarize(params, [rep.metrics for rep in reports], extras)
     wall_ms = (time.perf_counter() - t0) * 1000.0
 
     payload = {
@@ -724,23 +635,34 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "seed": cfg.seed,
         "trials": cfg.trials,
         "params": {k: params[k] for k in sorted(params)},
-        "summary": result.summary,
+        "summary": summary,
         "wall_ms": wall_ms,
     }
-    if cfg.output_dir is not None:
-        out = Path(cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        lines = [",".join(edef.columns)]
-        for rep in result.reports:
-            row = dict(rep.metrics)
-            row["trial"] = rep.trial
-            row["seed"] = rep.seed
-            lines.append(",".join(_format_cell(row[c]) for c in edef.columns))
-        (out / "trials.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        (out / "summary.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        for fname, content in (result.files or {}).items():
-            (out / fname).write_text(content, encoding="utf-8")
-        if params.get("svg") and result.scatter is not None:
-            emit_scatter_svg(result.scatter, out / "scatter.svg")
+    if cfg.output_dir is None:
+        return payload
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    lines = [",".join(edef.columns)]
+    for rep in reports:
+        row = dict(rep.metrics, trial=rep.trial, seed=rep.seed)
+        lines.append(",".join(_format_cell(row[c]) for c in edef.columns))
+    files = {
+        "trials.csv": "\n".join(lines) + "\n",
+        "summary.json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
+    }
+    files.update(edef.files(params) if edef.files else {})
+    spectra = [f"{rep.trial},{rep.seed},{spec.ensemble},{spec.n},"
+               f"{repr(float(z.real))},{repr(float(z.imag))}"
+               for rep, ex in zip(reports, extras)
+               for spec in ex.get("spectrum", ()) for z in spec.eigenvalues
+               ] if params["spectra"] else []
+    if spectra:
+        files["spectra.csv"] = "\n".join(["trial,seed,ensemble,n,re,im"] + spectra) + "\n"
+    for fname, content in files.items():
+        (out / fname).write_text(content, encoding="utf-8")
+    if params["svg"] and edef.scatter_radius is not None:
+        z = np.concatenate([spec.eigenvalues for spec in extras[0]["spectrum"]])
+        z = z[np.abs(z) <= edef.scatter_radius(params)]
+        if z.size:
+            emit_scatter_svg(z, out / "scatter.svg")
     return payload

@@ -66,46 +66,57 @@ def cloud_to_json(points: Iterable[complex]) -> str:
     return json.dumps([[float(z.real), float(z.imag)] for z in arr])
 
 
-@dataclass(frozen=True)
-class RootPoly:
-    """Polynomial stored as roots (multiplicity by repetition) and a leading scalar."""
+def _frozen_array(values) -> np.ndarray:
+    """A read-only 1-D complex copy of values."""
+    arr = np.array(values, dtype=complex).ravel()
+    arr.flags.writeable = False
+    return arr
 
-    roots: tuple = ()
+
+# eq=False: the generated __eq__ would compare arrays element-wise, so
+# equality and hashing stay by identity
+@dataclass(frozen=True, eq=False)
+class RootPoly:
+    """Polynomial stored as roots (multiplicity by repetition) and a leading scalar.
+
+    ``roots`` is a read-only complex array copied from the input, so later
+    changes to the input cannot reach the polynomial.
+    """
+
+    roots: np.ndarray
     leading: complex = 1.0 + 0.0j
 
     def __init__(self, roots: Sequence[complex] = (), leading: complex = 1.0):
-        object.__setattr__(self, "roots", tuple(complex(r) for r in roots))
+        object.__setattr__(self, "roots", _frozen_array(roots))
         object.__setattr__(self, "leading", complex(leading))
 
     @property
     def degree(self) -> int:
-        return len(self.roots)
+        return self.roots.size
 
     def root_array(self) -> np.ndarray:
-        return np.asarray(self.roots, dtype=complex)
+        return self.roots
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedLogDeriv:
     """Weighted sum of simple poles, sum(a_k / (z - z_k)).
 
     With all weights equal to one this is P'(z)/P(z) for the RootPoly with the
     same roots. No constraint is imposed on the weights; callers that need
-    positivity or a fixed total must validate themselves.
+    positivity or a fixed total must validate themselves. ``roots`` and
+    ``weights`` are read-only complex arrays copied from the input.
     """
 
-    roots: tuple = ()
-    weights: tuple = ()
+    roots: np.ndarray
+    weights: np.ndarray
 
     def __init__(self, roots: Sequence[complex], weights: Sequence[complex] | None = None):
-        roots = tuple(complex(r) for r in roots)
-        if weights is None:
-            weights = (1.0 + 0.0j,) * len(roots)
-        else:
-            weights = tuple(complex(w) for w in weights)
-        if len(weights) != len(roots):
+        roots = _frozen_array(roots)
+        weights = _frozen_array(np.ones(roots.size) if weights is None else weights)
+        if weights.size != roots.size:
             raise SizeMismatch(
-                f"{len(roots)} roots but {len(weights)} weights")
+                f"{roots.size} roots but {weights.size} weights")
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "weights", weights)
 
@@ -114,10 +125,10 @@ class WeightedLogDeriv:
         return cls(p.roots)
 
     def root_array(self) -> np.ndarray:
-        return np.asarray(self.roots, dtype=complex)
+        return self.roots
 
     def weight_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=complex)
+        return self.weights
 
 
 def expand_coefficients(p: RootPoly) -> np.ndarray:
@@ -143,7 +154,7 @@ def expand_coefficients(p: RootPoly) -> np.ndarray:
 def evaluate(p: RootPoly, z: complex) -> complex:
     """P(z) as a product of factors (never through coefficients)."""
     out = complex(p.leading)
-    for r in p.roots:
+    for r in p.roots.tolist():
         out *= z - r
     return out
 

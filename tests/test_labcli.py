@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -164,6 +165,82 @@ class TestRegistry:
         with pytest.raises(BadParams):
             run_experiment(ExperimentConfig("poisson-limit", 1, 0, {}, tmp_path))
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_validated(self, workers, tmp_path):
+        with pytest.raises(BadParams, match="workers"):
+            run_experiment(ExperimentConfig("poisson-limit", 1, 1, {}, tmp_path, workers))
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+class TestWorkerPool:
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        import spectralab.labcli.experiments as expmod
+
+        monkeypatch.setattr(RecordingPool, "sizes", [])
+        monkeypatch.setattr(expmod, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        return RecordingPool.sizes
+
+    @pytest.mark.parametrize("workers, trials, expected", [
+        (5000, 10, [4]),   # capped by the cores
+        (5000, 3, [3]),    # capped by the rows
+        (2, 10, [2]),
+        (1, 10, []),       # no pool at all
+        (5000, 1, []),
+    ])
+    def test_pool_is_bounded(self, pool_sizes, workers, trials, expected, tmp_path):
+        cfg = ExperimentConfig("matching-lln", 3, trials, {"n": 20}, tmp_path, workers)
+        run_experiment(cfg)
+        assert pool_sizes == expected
+
+    def test_point_experiment_is_bounded_by_its_rows(self, pool_sizes, tmp_path):
+        cfg = ExperimentConfig("discrepancy", 3, 50, {"n_list": "8,16"}, tmp_path, 5000)
+        run_experiment(cfg)
+        assert pool_sizes == [2]
+
+
+class TestSingleDraw:
+    """Each trial's stream is drawn once; nothing is re-sampled for plots or diagnostics."""
+
+    @pytest.mark.parametrize("name, sampler", [
+        ("ginibre-intensity", "sample_ginibre"),
+        ("poisson-limit", "power_spectrum_sample"),
+        ("spherical-count", "sample_product_ensemble"),
+        ("thm1-convergence", "two_sequence_pick"),
+    ])
+    def test_one_draw_per_trial(self, name, sampler, monkeypatch, tmp_path):
+        import spectralab.labcli.experiments as expmod
+
+        calls = []
+        original = getattr(expmod, sampler)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(expmod, sampler, counted)
+        params = {**SMALL_PARAMS[name], **PIN_EXTRA[name], "svg": 1}
+        run_experiment(ExperimentConfig(name, 7, 3, params, tmp_path))
+        assert len(calls) == 3
+
 
 class TestOutputs:
     @pytest.mark.parametrize("name", sorted(ALL_NAMES))
@@ -324,6 +401,48 @@ class TestCli:
         assert message.startswith("walsh-clusters trial 1 (seed 7, stream_id "
                                   f"{stream_id_for('walsh-clusters', 1)})")
         assert message.endswith("forced")
+
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        import spectralab.labcli.cli as climod
+
+        seen = []
+
+        def capture(cfg):
+            seen.append(cfg)
+            return {"summary": {}}
+
+        monkeypatch.setattr(climod, "run_experiment", capture)
+        return seen
+
+    def test_flags_win_over_config_file(self, captured, tmp_path):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("experiment=poisson-limit\nseed=5\ntrials=4\nworkers=3\n"
+                           f"out={tmp_path / 'file-out'}\nn=8\n")
+        rc = main(["run", "--config", str(cfgfile), "--experiment", "discrepancy",
+                   "--seed", "9", "--trials", "2", "--workers", "1",
+                   "--out", str(tmp_path / "flag-out"), "--param", "n=16"])
+        assert rc == 0
+        (cfg,) = captured
+        assert (cfg.name, cfg.seed, cfg.trials, cfg.workers) == ("discrepancy", 9, 2, 1)
+        assert cfg.output_dir == tmp_path / "flag-out"
+        assert cfg.params == {"n": "16"}
+
+    def test_config_file_run_settings(self, captured, tmp_path):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("experiment=poisson-limit\nseed=5\ntrials=4\nworkers=2\nn=8\n")
+        assert main(["run", "--config", str(cfgfile)]) == 0
+        (cfg,) = captured
+        assert (cfg.name, cfg.seed, cfg.trials, cfg.workers) == ("poisson-limit", 5, 4, 2)
+        assert cfg.params == {"n": "8"}
+
+    @pytest.mark.parametrize("key", ["seed", "trials", "workers"])
+    def test_non_integer_config_value_exit_2(self, key, captured, tmp_path, capsys):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text(f"experiment=poisson-limit\n{key}=x\n")
+        assert main(["run", "--config", str(cfgfile)]) == 2
+        assert key in capsys.readouterr().err
+        assert captured == []
 
     def test_config_file_and_env_seed(self, tmp_path, monkeypatch):
         cfgfile = tmp_path / "exp.cfg"

@@ -34,6 +34,36 @@ def horner_magnitude(coeffs, z):
     return out
 
 
+class TestStorage:
+    def test_input_mutation_does_not_reach_the_polynomial(self):
+        roots = np.array([1.0, 2.0, 3.0])
+        weights = np.array([1.0, 2.0, 3.0])
+        p = RootPoly(roots)
+        w = WeightedLogDeriv(roots, weights)
+        roots[0] = 99.0
+        weights[0] = 99.0
+        np.testing.assert_array_equal(p.root_array(), [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(w.root_array(), [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(w.weight_array(), [1.0, 2.0, 3.0])
+        assert evaluate(p, 0.0) == pytest.approx(-6.0)
+
+    def test_arrays_are_read_only_complex(self):
+        p = RootPoly([1, 2])
+        w = WeightedLogDeriv([1, 2])
+        for arr in (p.root_array(), w.root_array(), w.weight_array()):
+            assert arr.dtype == complex
+            with pytest.raises(ValueError):
+                arr[0] = 5.0
+        assert p.degree == 2
+        np.testing.assert_array_equal(w.weight_array(), [1.0, 1.0])
+
+    def test_equality_is_identity(self):
+        p = RootPoly([1, 2])
+        assert p == p
+        assert p != RootPoly([1, 2])
+        assert len({p, RootPoly([1, 2])}) == 2
+
+
 class TestExpand:
     def test_difference_of_squares(self):
         np.testing.assert_allclose(expand_coefficients(RootPoly([1, -1])), [-1, 0, 1])

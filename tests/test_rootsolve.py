@@ -6,9 +6,10 @@ import pytest
 from conftest import assert_multiset_close
 import spectralab.rootsolve as rootsolve
 from spectralab.errors import DegenerateInput, NoConvergence
-from spectralab.labcli.experiments import _walsh_roots
+from spectralab.labcli.experiments import _walsh_roots, stream_id_for
 from spectralab.measures import convex_hull_contains
 from spectralab.polycore import RootPoly, derivative_coefficients, expand_coefficients
+from spectralab.randgen import RngStream
 from spectralab.rootsolve import (
     NEWTON_TOL,
     TOL_ROOT,
@@ -270,7 +271,8 @@ class TestAgainstDifferentiator:
                                            (3, WALSH_K3_HARD_TRIALS)])
     def test_walsh_draws(self, k, trials):
         for t in trials:
-            self.check(_walsh_roots(42, t, {"k": k, **WALSH})[1])
+            stream = RngStream(42, stream_id_for("walsh-clusters", t))
+            self.check(_walsh_roots(stream, {"k": k, **WALSH})[1])
 
     def test_unit_circle(self, rng):
         for n in range(10, 81, 5):
