@@ -653,9 +653,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     files.update(edef.files(params) if edef.files else {})
     spectra = [f"{rep.trial},{rep.seed},{spec.ensemble},{spec.n},"
                f"{repr(float(z.real))},{repr(float(z.imag))}"
-               for rep, ex in zip(reports, extras)
-               for spec in ex.get("spectrum", ()) for z in spec.eigenvalues
-               ] if params["spectra"] else []
+               for rep, ex in zip(reports, extras) if params["spectra"]
+               for spec in ex.get("spectrum", ()) for z in spec.eigenvalues]
     if spectra:
         files["spectra.csv"] = "\n".join(["trial,seed,ensemble,n,re,im"] + spectra) + "\n"
     for fname, content in files.items():

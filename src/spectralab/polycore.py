@@ -67,8 +67,8 @@ def cloud_to_json(points: Iterable[complex]) -> str:
 
 
 def _frozen_array(values) -> np.ndarray:
-    """A read-only 1-D complex copy of values."""
-    arr = np.array(values, dtype=complex).ravel()
+    """A read-only complex copy of values."""
+    arr = np.array(values, dtype=complex)
     arr.flags.writeable = False
     return arr
 
