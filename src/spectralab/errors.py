@@ -83,10 +83,6 @@ class DuplicateValues(SpectraError):
     pass
 
 
-class NonPositive(SpectraError):
-    pass
-
-
 # random generation
 class BadProbability(ConfigError):
     pass

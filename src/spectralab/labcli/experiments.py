@@ -50,8 +50,8 @@ from ..randgen import (
     two_sequence_pick,
 )
 from ..rmt import (
-    _poisson_log_cdf as _power_log_cdf,
     eigenvalues,
+    ginibre_intensity,
     power_intensity,
     power_spectrum_sample,
     real_eig_probability,
@@ -95,7 +95,6 @@ class TrialReport:
     trial: int
     seed: int
     metrics: dict
-    wall_ms: float
 
 
 @dataclass(frozen=True)
@@ -104,9 +103,11 @@ class ExperimentDef:
 
     trial(stream, params) -> (row, extras): one trial's trials.csv row and
     its side data by name; a ``spectrum`` extra (tuple of SpectrumSamples)
-    feeds spectra.csv and scatter.svg. Point experiments name a list param
-    in ``points`` and get one row per entry from trial(stream, params,
-    entry, trials). summarize(params, rows, extras) -> summary dict.
+    feeds spectra.csv and scatter.svg. trials.csv holds ``columns`` first,
+    then any other row keys in the order the trial returns them, so no row
+    key is dropped. Point experiments name a list param in ``points`` and
+    get one row per entry from trial(stream, params, entry, trials).
+    summarize(params, rows, extras) -> summary dict.
     files(params) -> {file name: text}. scatter_radius(params) clips trial
     0's spectrum for scatter.svg; without it svg=1 writes no scatter.
     """
@@ -188,8 +189,10 @@ def _matching_lln_summary(params, rows, extras):
 # --- thm1-convergence ------------------------------------------------------
 
 def _thm1_trial(stream, params):
-    g = stream.generator()
     n_small, n_large = params["n_small"], params["n_large"]
+    if n_small >= n_large:
+        raise BadParams(f"n_small ({n_small}) must be below n_large ({n_large})")
+    g = stream.generator()
     k = np.arange(1, n_large + 1)
     a = np.exp(2j * np.pi * np.mod(k * _GOLDEN, 1.0))
     xi = two_sequence_pick(a, -a, 0.5, g)
@@ -241,6 +244,8 @@ def _thm1_summary(params, rows, extras):
 # --- ginibre-intensity -----------------------------------------------------
 
 def _ginibre_bins(params):
+    if params["bins"] < 1:
+        raise BadParams("bins must be >= 1")
     return np.linspace(params["r_lo"], params["r_hi"], params["bins"] + 1)
 
 
@@ -272,8 +277,7 @@ def _ginibre_intensity_summary(params, rows, extras):
 def _ginibre_intensity_files(params):
     n = params["n"]
     table_r = np.linspace(0.01, 1.25, 125)
-    table_rho = [float(n * math.exp(_power_log_cdf(n, n * r * r))) / math.pi
-                 for r in table_r]
+    table_rho = [n * ginibre_intensity(n, math.sqrt(n) * r) for r in table_r]
     return {"intensity.csv": _intensity_table(table_r, table_rho)}
 
 
@@ -500,7 +504,7 @@ EXPERIMENTS = {edef.name: edef for edef in (
     ExperimentDef(
         "ginibre-intensity",
         "radial eigenvalue histogram against the kernel intensity",
-        ("trial", "seed") + tuple(f"count_b{i}" for i in range(7)),
+        ("trial", "seed"),
         dict(n=(int, 64), r_lo=(float, 0.2), r_hi=(float, 0.9), bins=(int, 7)),
         _ginibre_intensity_trial, _ginibre_intensity_summary,
         files=_ginibre_intensity_files,
@@ -586,18 +590,17 @@ def _format_cell(value) -> str:
 
 
 def _run_trial(name, seed, trials, params, t, point):
-    """Row t of experiment ``name`` on its own stream, timed; runs in workers too."""
+    """Row t of experiment ``name`` on its own stream; runs in workers too."""
     edef = EXPERIMENTS[name]
     stream = RngStream(seed, stream_id_for(name, t))
     args = (stream, params) if point is None else (stream, params, point, trials)
-    t0 = time.perf_counter()
     try:
         row, extras = edef.trial(*args)
     except NumericalError as exc:
         # same type, plus what it takes to replay the trial on its own stream
         raise type(exc)(f"{name} trial {t} (seed {seed}, stream_id "
                         f"{stream.stream_id}): {exc}") from exc
-    return TrialReport(name, t, seed, row, (time.perf_counter() - t0) * 1000.0), extras
+    return TrialReport(name, t, seed, row), extras
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -642,10 +645,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         return payload
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(edef.columns)]
+    columns = edef.columns + tuple(k for k in reports[0].metrics if k not in edef.columns)
+    lines = [",".join(columns)]
     for rep in reports:
         row = dict(rep.metrics, trial=rep.trial, seed=rep.seed)
-        lines.append(",".join(_format_cell(row[c]) for c in edef.columns))
+        lines.append(",".join(_format_cell(row[c]) for c in columns))
     files = {
         "trials.csv": "\n".join(lines) + "\n",
         "summary.json": json.dumps(payload, indent=2, sort_keys=True) + "\n",

@@ -20,7 +20,6 @@ from .errors import (
     AlphaNotLeft,
     ComplexRoots,
     DuplicateValues,
-    NonPositive,
     SignDegenerate,
     SizeMismatch,
     TooLarge,
@@ -37,9 +36,7 @@ __all__ = [
     "extremal_gap_surrogate",
     "interlace_shift_check",
     "mixed_sign_bound",
-    "renyi_exponential_order_stats",
     "sorted_l1",
-    "uniform_order_stats_from_exponentials",
     "zero_critical_distance",
 ]
 
@@ -203,26 +200,3 @@ def extremal_gap_surrogate(sample) -> GapStatistic:
     right = scale / float(np.sum(1.0 / (xs[-1] - xs[:-1])))
     return GapStatistic(left, right)
 
-
-def renyi_exponential_order_stats(e) -> np.ndarray:
-    """Order statistics of n exponentials built from n fresh exponentials.
-
-    Y_(i) = E_n/n + E_{n-1}/(n-1) + ... down to i terms; the output is the
-    cumulative sum of E reversed and divided by n, n-1, ..., 1.
-    """
-    arr = np.asarray(e, dtype=float).ravel()
-    if arr.size == 0 or np.any(arr <= 0):
-        raise NonPositive("all inputs must be positive")
-    n = arr.size
-    return np.cumsum(arr[::-1] / np.arange(n, 0, -1))
-
-
-def uniform_order_stats_from_exponentials(e, n: int) -> np.ndarray:
-    """Uniform order statistics as normalized partial sums of n+1 exponentials."""
-    arr = np.asarray(e, dtype=float).ravel()
-    if arr.size != n + 1:
-        raise SizeMismatch(f"need n+1 = {n + 1} exponentials, got {arr.size}")
-    if np.any(arr <= 0):
-        raise NonPositive("all inputs must be positive")
-    s = np.cumsum(arr)
-    return s[:n] / s[n]

@@ -6,7 +6,7 @@ planar point clouds, the Levy metric, circular discrepancy with the
 coefficient-side bound it is compared against, convex-hull membership,
 cluster deficiency counts, and the potential-theoretic quantities (normalized
 log of the log-derivative, its square integral on disks, Poisson-Jensen
-consistency, concentration functions, log-Cesaro means).
+consistency, concentration functions).
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "erdos_turan_rhs",
     "ks_two_sample",
     "levy_distance",
-    "log_cesaro_stat",
     "poisson_jensen_residual",
     "potential_diagnostics",
     "sliced_wasserstein2d",
@@ -321,18 +320,6 @@ def cluster_deficiency(spec: ClusterSpec, critical, eps: float, n_per_cluster: i
         count = int(np.sum(np.abs(crit - c) <= spec.radius + eps))
         out.append(n_per_cluster - count)
     return out
-
-
-def log_cesaro_stat(seq, n: int) -> float:
-    """Cesaro mean of log_+|a_k| over the first n terms."""
-    arr = np.asarray(seq, dtype=complex).ravel()
-    if n > arr.size:
-        raise ValueError("n exceeds sequence length")
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.abs(arr[:n]))
-    return float(np.sum(np.maximum(logs, 0.0)) / n)
 
 
 def concentration_estimate(samples, delta: float) -> float:

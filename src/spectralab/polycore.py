@@ -11,7 +11,6 @@ everything about critical points: with unit weights it equals P'(z)/P(z).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -24,11 +23,7 @@ __all__ = [
     "RootPoly",
     "WeightedLogDeriv",
     "canonical_order",
-    "cloud_to_csv",
-    "cloud_to_json",
     "derivative_coefficients",
-    "eval_log_deriv",
-    "evaluate",
     "exclusion_radius",
     "expand_coefficients",
     "log_abs_log_deriv",
@@ -52,18 +47,6 @@ def canonical_order(points: Iterable[complex]) -> np.ndarray:
         return arr
     idx = np.lexsort((arr.imag, arr.real))
     return arr[idx]
-
-
-def cloud_to_csv(points: Iterable[complex]) -> str:
-    """Serialize a point cloud to CSV rows "re,im" in canonical order."""
-    arr = canonical_order(points)
-    return "".join(f"{repr(float(z.real))},{repr(float(z.imag))}\n" for z in arr)
-
-
-def cloud_to_json(points: Iterable[complex]) -> str:
-    """Serialize a point cloud to a JSON array [[re, im], ...] in canonical order."""
-    arr = canonical_order(points)
-    return json.dumps([[float(z.real), float(z.imag)] for z in arr])
 
 
 def _frozen_array(values) -> np.ndarray:
@@ -120,10 +103,6 @@ class WeightedLogDeriv:
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "weights", weights)
 
-    @classmethod
-    def from_rootpoly(cls, p: RootPoly) -> "WeightedLogDeriv":
-        return cls(p.roots)
-
     def root_array(self) -> np.ndarray:
         return self.roots
 
@@ -151,14 +130,6 @@ def expand_coefficients(p: RootPoly) -> np.ndarray:
     return coeffs
 
 
-def evaluate(p: RootPoly, z: complex) -> complex:
-    """P(z) as a product of factors (never through coefficients)."""
-    out = complex(p.leading)
-    for r in p.roots.tolist():
-        out *= z - r
-    return out
-
-
 def derivative_coefficients(p: RootPoly) -> np.ndarray:
     """Ascending coefficients of P', length degree.
 
@@ -181,11 +152,6 @@ def _pole_checked_terms(w: WeightedLogDeriv, z: complex) -> np.ndarray:
     if dmin < rho:
         raise NearPole(f"evaluation point within {rho:.3e} of a pole")
     return w.weight_array() / d
-
-
-def eval_log_deriv(w: WeightedLogDeriv, z: complex) -> complex:
-    """sum(a_k / (z - z_k)); refuses points inside the pole-exclusion radius."""
-    return complex(np.sum(_pole_checked_terms(w, z)))
 
 
 def log_abs_log_deriv(w: WeightedLogDeriv, z: complex) -> float:

@@ -21,15 +21,8 @@ __all__ = [
     "RngStream",
     "bernoulli_entries",
     "gaussian_entries",
-    "geometric_schedule",
-    "inverse_log_schedule",
-    "inverse_schedule",
-    "perturb_sequence",
-    "random_subsequence",
-    "sample_atomic_mix",
     "sample_complex_gaussian",
     "sample_exponential",
-    "sample_uniform",
     "two_sequence_pick",
 ]
 
@@ -46,9 +39,6 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
-
-    def child(self, offset: int) -> "RngStream":
-        return RngStream(self.seed, (self.stream_id + offset) & _MASK64)
 
 
 def _gen(rng) -> np.random.Generator:
@@ -84,70 +74,12 @@ def two_sequence_pick(a, b, p: float, rng) -> np.ndarray:
     return np.where(take_a, aa, bb)
 
 
-def perturb_sequence(u, sigma, dist: Callable, rng) -> np.ndarray:
-    """v_k = u_k + sigma_k * X_k with X_k i.i.d. from dist(generator, n).
-
-    sigma may be a scalar, a sequence, or a schedule callable k -> sigma_k
-    (k starting at 1). sigma identically zero is allowed and acts as the
-    identity.
-    """
-    uu = np.asarray(u)
-    n = uu.size
-    if callable(sigma):
-        sig = np.array([sigma(k) for k in range(1, n + 1)], dtype=float)
-    else:
-        sig = np.broadcast_to(np.asarray(sigma, dtype=float), (n,))
-    if np.any(sig < 0):
-        raise ValueError("sigma must be non-negative")
-    g = _gen(rng)
-    x = np.asarray(dist(g, n))
-    return uu + sig * x
-
-
-def inverse_schedule() -> Callable[[int], float]:
-    return lambda k: 1.0 / k
-
-
-def inverse_log_schedule() -> Callable[[int], float]:
-    return lambda k: 1.0 / np.log(k + 1.0)
-
-
-def geometric_schedule(ratio: float = 0.9) -> Callable[[int], float]:
-    if not 0.0 < ratio < 1.0:
-        raise ValueError("ratio must lie in (0, 1)")
-    return lambda k: ratio ** k
-
-
-def random_subsequence(z, p: float, rng) -> np.ndarray:
-    """Keep each term independently with probability p, order preserved."""
-    if not 0.0 < p < 1.0:
-        raise BadProbability("p must lie strictly between 0 and 1")
-    zz = np.asarray(z)
-    g = _gen(rng)
-    keep = g.random(zz.shape) < p
-    return zz[keep]
-
-
 def sample_exponential(rng, n: int, rate: float = 1.0) -> np.ndarray:
     """Inverse-CDF exponential draws with the given rate."""
     if rate <= 0:
         raise ValueError("rate > 0 required")
     g = _gen(rng)
     return -np.log1p(-g.random(n)) / rate
-
-
-def sample_uniform(rng, n: int) -> np.ndarray:
-    return _gen(rng).random(n)
-
-
-def sample_atomic_mix(rng, n: int, atom: float, q: float, continuous: Callable) -> np.ndarray:
-    """atom with probability q, otherwise a draw from continuous(generator, n)."""
-    if not 0.0 < q <= 1.0:
-        raise BadProbability("q must lie in (0, 1]")
-    g = _gen(rng)
-    hit = g.random(n) < q
-    cont = np.asarray(continuous(g, n), dtype=float)
-    return np.where(hit, atom, cont)
 
 
 def gaussian_entries(g: np.random.Generator, shape) -> np.ndarray:

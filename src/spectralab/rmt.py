@@ -34,7 +34,6 @@ __all__ = [
     "SchurChain",
     "SpectrumSample",
     "cross_term",
-    "discriminant_2x2",
     "eigenvalues",
     "generalized_schur",
     "ginibre_intensity",
@@ -328,12 +327,3 @@ def real_eig_probability(rng, k: int, n_factors: int, entry_sampler: Callable,
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return RealEigEstimate(p_hat, stderr, trials)
 
-
-def discriminant_2x2(m) -> float:
-    """(a+d)^2 - 4(ad - bc); non-negative exactly when both eigenvalues are real."""
-    arr = np.asarray(m, dtype=float)
-    if arr.shape != (2, 2):
-        raise WrongSize("2 x 2 matrix required")
-    a, b = arr[0]
-    c, d = arr[1]
-    return float((a + d) ** 2 - 4.0 * (a * d - b * c))

@@ -54,14 +54,6 @@ class RootFindReport:
     iterations: int
     converged: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "roots": [[float(z.real), float(z.imag)] for z in self.roots],
-            "residuals": [float(r) for r in self.residuals],
-            "iterations": int(self.iterations),
-            "converged": bool(self.converged),
-        }
-
 
 def _horner_pair(coeffs: np.ndarray, z: np.ndarray):
     """Evaluate P, P', and the magnitude sum H = sum|c_k||z|^k; coeffs ascending."""

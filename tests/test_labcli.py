@@ -61,6 +61,8 @@ SMALL_PARAMS = {
 # written. The digests were taken before the experiments moved onto the
 # declarative runner and must not change when the runner does; floats come
 # from LAPACK, so a different numpy/LAPACK build may need them recomputed.
+# ginibre-intensity's intensity.csv was re-pinned when its table was fixed
+# to the variance-1/n intensity (it had the Poisson mean and count swapped).
 PIN_EXTRA = {
     "ginibre-intensity": {"spectra": 1, "svg": 1},
     "poisson-limit": {"spectra": 1, "svg": 1},
@@ -79,7 +81,7 @@ PINNED_DIGESTS = {
         "trials.csv": "080e8512955e71f1ac5c21f594b01dc15ed3450d21b660e20865083224ccead2",
     },
     "ginibre-intensity": {
-        "intensity.csv": "fe43bc4b8575680c926aa729130a195063cdc0db6e9c7cc004f5c6c3a04fb739",
+        "intensity.csv": "9bec8f721a137337e7f497a308ba9099c31b675028088fa533b5834dcd55fae4",
         "scatter.svg": "1adf195db085108ccae9c18b3696ee73e61f6b87c229fb878c785dbdd18a64cf",
         "spectra.csv": "e9f56b09f67adb8f3d77cd8c886b9dbb4e3bab2f27f2b9f684c0dc53f1f7ea61",
         "summary.json": "72f93806647092cc5f967657e8d265607d4ae82d5747dc8c56fb05c05bea1714",
@@ -317,6 +319,24 @@ class TestOutputs:
         intensity = (tmp_path / "g" / "intensity.csv").read_text().splitlines()
         assert intensity[0] == "r,rho"
 
+    def test_ginibre_intensity_table_integrates_to_n(self, tmp_path):
+        # the variance-1/n intensity carries n eigenvalues: 2 pi int r rho dr = n
+        # (the table starts at r = 0.01, which leaves out about n * 1e-4)
+        n = 64
+        run_experiment(ExperimentConfig("ginibre-intensity", 5, 1, {"n": n}, tmp_path))
+        table = np.loadtxt(tmp_path / "intensity.csv", delimiter=",", skiprows=1)
+        r, rho = table[:, 0], table[:, 1]
+        assert 2.0 * np.pi * np.trapezoid(r * rho, r) == pytest.approx(n, rel=1e-3)
+
+    @pytest.mark.parametrize("bins", [5, 9])
+    def test_ginibre_columns_follow_bins(self, bins, tmp_path):
+        cfg = ExperimentConfig("ginibre-intensity", 7, 2, {"n": 12, "bins": bins}, tmp_path)
+        payload = run_experiment(cfg)
+        lines = (tmp_path / "trials.csv").read_text().splitlines()
+        assert lines[0] == "trial,seed," + ",".join(f"count_b{i}" for i in range(bins))
+        assert all(len(line.split(",")) == bins + 2 for line in lines[1:])
+        assert len(payload["summary"]["mean_counts"]) == bins
+
     def test_thm1_diagnostics_record(self, tmp_path):
         cfg = ExperimentConfig(
             "thm1-convergence", 3, 1,
@@ -369,6 +389,18 @@ class TestCli:
         rc = main(["run", "--experiment", "poisson-limit", "--trials", "1",
                    "--param", "n=x", "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    @pytest.mark.parametrize("name,params", [
+        ("ginibre-intensity", ["bins=0"]),
+        ("thm1-convergence", ["n_small=60", "n_large=40"]),
+        ("thm1-convergence", ["n_small=40", "n_large=40"]),
+    ])
+    def test_refused_param_values_exit_2(self, name, params, tmp_path):
+        args = ["run", "--experiment", name, "--trials", "1", "--out", str(tmp_path / "x")]
+        for param in params:
+            args += ["--param", param]
+        assert main(args) == 2
+        assert not (tmp_path / "x" / "trials.csv").exists()
 
     def test_numerical_failure_exit_3(self, monkeypatch, tmp_path):
         import spectralab.labcli.cli as climod

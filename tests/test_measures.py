@@ -20,7 +20,6 @@ from spectralab.measures import (
     erdos_turan_rhs,
     ks_two_sample,
     levy_distance,
-    log_cesaro_stat,
     poisson_jensen_residual,
     potential_diagnostics,
     sliced_wasserstein2d,
@@ -234,19 +233,6 @@ class TestClusterDeficiency:
         spec = ClusterSpec(centers, radius, 5.0 * k)
         defs = cluster_deficiency(spec, crit, eps, n_per)
         assert max(defs) <= walsh_constant(k, eps, 5.0 * k)
-
-
-class TestLogCesaro:
-    def test_bounded_by_one_sequence(self):
-        assert log_cesaro_stat(np.full(10, 0.5), 10) == 0.0
-
-    def test_constant_e(self):
-        assert log_cesaro_stat(np.full(10, math.e), 10) == pytest.approx(1.0)
-
-    def test_factorial_growth_vs_lgamma(self):
-        n = 40
-        seq = np.arange(1.0, n + 1.0)
-        assert log_cesaro_stat(seq, n) == pytest.approx(math.lgamma(n + 1) / n, rel=1e-12)
 
 
 class TestConcentration:

@@ -3,20 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import renyi_exponential_order_stats
 from spectralab.errors import BadProbability, SizeMismatch
-from spectralab.matching import renyi_exponential_order_stats
-from spectralab.measures import ks_two_sample, log_cesaro_stat, wasserstein1_1d
+from spectralab.measures import ks_two_sample, wasserstein1_1d
 from spectralab.randgen import (
     RngStream,
-    geometric_schedule,
-    inverse_log_schedule,
-    inverse_schedule,
-    perturb_sequence,
-    random_subsequence,
-    sample_atomic_mix,
     sample_complex_gaussian,
     sample_exponential,
-    sample_uniform,
     two_sequence_pick,
 )
 
@@ -91,59 +84,6 @@ class TestTwoSequencePick:
         assert vals[6400] < 0.5 * vals[400]
 
 
-class TestPerturb:
-    def test_zero_sigma_is_identity(self):
-        u = np.arange(4.0)
-        out = perturb_sequence(u, 0.0, lambda g, n: g.normal(size=n), RngStream(1))
-        np.testing.assert_array_equal(out, u)
-
-    def test_modulus_distance_shrinks_like_inverse_n(self):
-        def run(n):
-            u = np.exp(2j * np.pi * np.mod(np.arange(1, n + 1) * GOLDEN, 1.0))
-            v = perturb_sequence(
-                u, inverse_schedule(),
-                lambda g, m: g.normal(size=m) + 1j * g.normal(size=m), RngStream(13, n))
-            return wasserstein1_1d(np.abs(v), np.abs(u))
-
-        w1_small, w1_big = run(1000), run(4000)
-        assert w1_big < w1_small
-        assert w1_big < 5.0 * math.log(4000) / 4000
-
-    def test_log_cesaro_stays_bounded(self):
-        n = 10 ** 4
-        u = np.exp(2j * np.pi * np.mod(np.arange(1, n + 1) * GOLDEN, 1.0))
-        v = perturb_sequence(
-            u, inverse_schedule(),
-            lambda g, m: g.normal(size=m) + 1j * g.normal(size=m), RngStream(14))
-        assert log_cesaro_stat(u, n) == pytest.approx(0.0, abs=1e-12)
-        assert log_cesaro_stat(v, n) < 1.0
-
-    def test_schedules(self):
-        assert inverse_schedule()(4) == 0.25
-        assert inverse_log_schedule()(1) == pytest.approx(1 / math.log(2.0))
-        assert geometric_schedule(0.5)(3) == 0.125
-
-
-class TestRandomSubsequence:
-    def test_retention_fraction(self):
-        z = np.arange(10 ** 4)
-        kept = random_subsequence(z, 0.7, RngStream(31))
-        assert kept.size / z.size == pytest.approx(0.7, abs=0.02)
-
-    def test_order_preserved_and_deterministic(self):
-        z = np.arange(100)
-        a = random_subsequence(z, 0.5, RngStream(32))
-        b = random_subsequence(z, 0.5, RngStream(32))
-        np.testing.assert_array_equal(a, b)
-        assert np.all(np.diff(a) > 0)
-
-    def test_subsequence_stays_distributed(self):
-        n = 20000
-        z = np.mod(np.arange(1, n + 1) * GOLDEN, 1.0)
-        kept = random_subsequence(z, 0.5, RngStream(33))
-        assert wasserstein1_1d(kept, uniform_grid(4096)) < 0.01
-
-
 class TestScalarSamplers:
     def test_exponential_mean(self):
         x = sample_exponential(RngStream(41), 10 ** 5, 1.0)
@@ -153,20 +93,6 @@ class TestScalarSamplers:
         x = sample_exponential(RngStream(42), 10 ** 5, 4.0)
         assert np.mean(x) == pytest.approx(0.25, abs=0.01)
 
-    def test_uniform_range(self):
-        x = sample_uniform(RngStream(43), 1000)
-        assert np.all((0 <= x) & (x < 1))
-
-    def test_atomic_mix_degenerate(self):
-        x = sample_atomic_mix(RngStream(44), 50, 2.5, 1.0, lambda g, n: g.normal(size=n))
-        assert np.all(x == 2.5)
-
-    def test_atomic_mix_hit_rate(self):
-        q = 0.3
-        x = sample_atomic_mix(RngStream(45), 10 ** 4, 7.0, q,
-                              lambda g, n: g.normal(size=n))
-        assert np.mean(x == 7.0) == pytest.approx(q, abs=0.02)
-
 
 class TestRenyiCrossCheck:
     def test_transform_matches_direct_order_stats(self):
@@ -174,8 +100,8 @@ class TestRenyiCrossCheck:
         g1 = RngStream(51).generator()
         g2 = RngStream(52).generator()
         via_renyi = np.concatenate([
-            renyi_exponential_order_stats(-np.log1p(-g1.random(n)))
+            renyi_exponential_order_stats(sample_exponential(g1, n))
             for _ in range(trials)])
         direct = np.concatenate([
-            np.sort(-np.log1p(-g2.random(n))) for _ in range(trials)])
+            np.sort(sample_exponential(g2, n)) for _ in range(trials)])
         assert ks_two_sample(via_renyi, direct) < 0.03

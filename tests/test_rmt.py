@@ -9,7 +9,6 @@ from spectralab.errors import DegenerateSpectrum, WrongSize, ZeroPoint
 from spectralab.randgen import RngStream, bernoulli_entries, gaussian_entries
 from spectralab.rmt import (
     cross_term,
-    discriminant_2x2,
     eigenvalues,
     generalized_schur,
     ginibre_intensity,
@@ -298,27 +297,6 @@ class TestRealEigenvalues:
         est = real_eig_probability(RngStream(115), 2, nf, bernoulli_entries(q), 4000)
         bound = 1.0 - (1.0 - q ** 4) ** nf
         assert est.p_hat >= bound - 3.0 * est.stderr
-
-
-class TestDiscriminant:
-    def test_swap(self):
-        assert discriminant_2x2([[0, 1], [1, 0]]) == 4.0
-
-    def test_rotation(self):
-        assert discriminant_2x2([[0, -1], [1, 0]]) == -4.0
-
-    def test_paired_discriminants_sum_nonnegative(self, rng):
-        # disc(M) + disc(row-swapped M) telescopes to (a+d)^2 + (b+c)^2
-        for _ in range(200):
-            a, b, c, d = rng.normal(size=4)
-            swapped = [[c, d], [a, b]]
-            total = discriminant_2x2([[a, b], [c, d]]) + discriminant_2x2(swapped)
-            assert total == pytest.approx((a + d) ** 2 + (b + c) ** 2, rel=1e-9)
-            assert total >= -1e-12
-
-    def test_wrong_size(self):
-        with pytest.raises(WrongSize):
-            discriminant_2x2(np.eye(3))
 
 
 class TestRepulsion:

@@ -59,11 +59,6 @@ class TestSolveAll:
         assert rep.residuals.max() <= TOL_ROOT
         assert np.abs(rep.roots).max() <= 1.0 + 1e-9
 
-    def test_report_serializes(self):
-        d = solve_all([-1, 0, 1]).to_json_dict()
-        assert set(d) == {"roots", "residuals", "iterations", "converged"}
-        assert len(d["roots"]) == 2
-
 
 class TestCriticalPoints:
     def test_cubic(self):
