@@ -108,6 +108,8 @@ class ExperimentDef:
     key is dropped. Point experiments name a list param in ``points`` and
     get one row per entry from trial(stream, params, entry, trials).
     summarize(params, rows, extras) -> summary dict.
+    check(params) raises BadParams for values no trial can run with; the
+    runner calls it before it starts any trial or worker pool.
     files(params) -> {file name: text}. scatter_radius(params) clips trial
     0's spectrum for scatter.svg; without it svg=1 writes no scatter.
     """
@@ -118,6 +120,7 @@ class ExperimentDef:
     param_spec: dict
     trial: Callable
     summarize: Callable
+    check: Callable | None = None
     files: Callable | None = None
     points: str | None = None
     scatter_radius: Callable | None = None
@@ -188,14 +191,21 @@ def _matching_lln_summary(params, rows, extras):
 
 # --- thm1-convergence ------------------------------------------------------
 
-def _thm1_trial(stream, params):
+def _thm1_check(params):
     n_small, n_large = params["n_small"], params["n_large"]
     if n_small >= n_large:
         raise BadParams(f"n_small ({n_small}) must be below n_large ({n_large})")
-    g = stream.generator()
-    k = np.arange(1, n_large + 1)
-    a = np.exp(2j * np.pi * np.mod(k * _GOLDEN, 1.0))
-    xi = two_sequence_pick(a, -a, 0.5, g)
+
+
+def _thm1_roots(stream, n):
+    """n roots picked from the golden-angle sequence a_k or from -a_k with probability 1/2."""
+    a = np.exp(2j * np.pi * np.mod(np.arange(1, n + 1) * _GOLDEN, 1.0))
+    return two_sequence_pick(a, -a, 0.5, stream.generator())
+
+
+def _thm1_trial(stream, params):
+    n_small, n_large = params["n_small"], params["n_large"]
+    xi = _thm1_roots(stream, n_large)
     ref = np.exp(2j * np.pi * (np.arange(params["ref_points"]) + 0.5)
                  / params["ref_points"])
     ref_measure = EmpiricalMeasure(ref)
@@ -243,9 +253,12 @@ def _thm1_summary(params, rows, extras):
 
 # --- ginibre-intensity -----------------------------------------------------
 
-def _ginibre_bins(params):
+def _ginibre_check(params):
     if params["bins"] < 1:
         raise BadParams("bins must be >= 1")
+
+
+def _ginibre_bins(params):
     return np.linspace(params["r_lo"], params["r_hi"], params["bins"] + 1)
 
 
@@ -337,6 +350,11 @@ def _parse_pattern(text: str):
     return eps
 
 
+def _product_symmetry_check(params):
+    for key in ("pattern_a", "pattern_b"):
+        _parse_pattern(params[key])
+
+
 def _product_symmetry_trial(stream, params):
     g = stream.generator()
     spec_a = sample_product_ensemble(g, params["n"], _parse_pattern(params["pattern_a"]))
@@ -371,13 +389,16 @@ def _parse_int_list(text: str):
     return vals
 
 
-def _real_eig_point(stream, params, n_factors, trials):
-    if params["entries"] == "gaussian":
-        sampler = gaussian_entries
-    elif params["entries"] == "bernoulli":
-        sampler = bernoulli_entries(params["q"])
-    else:
+_ENTRY_SAMPLERS = {"gaussian": lambda q: gaussian_entries, "bernoulli": bernoulli_entries}
+
+
+def _real_eig_check(params):
+    if params["entries"] not in _ENTRY_SAMPLERS:
         raise BadParams(f"unknown entries kind {params['entries']!r}")
+
+
+def _real_eig_point(stream, params, n_factors, trials):
+    sampler = _ENTRY_SAMPLERS[params["entries"]](params["q"])
     est = real_eig_probability(stream, params["k"], n_factors, sampler, trials)
     return {"n_factors": n_factors, "p_hat": est.p_hat, "stderr": est.stderr,
             "mc_trials": est.trials}, {}
@@ -500,6 +521,7 @@ EXPERIMENTS = {edef.name: edef for edef in (
              ref_points=(int, 2048), diagnostics=(int, 0), grid_size=(int, 96),
              quad_nodes=(int, 4096)),
         _thm1_trial, _thm1_summary,
+        check=_thm1_check,
     ),
     ExperimentDef(
         "ginibre-intensity",
@@ -507,6 +529,7 @@ EXPERIMENTS = {edef.name: edef for edef in (
         ("trial", "seed"),
         dict(n=(int, 64), r_lo=(float, 0.2), r_hi=(float, 0.9), bins=(int, 7)),
         _ginibre_intensity_trial, _ginibre_intensity_summary,
+        check=_ginibre_check,
         files=_ginibre_intensity_files,
         scatter_radius=lambda params: math.inf,
     ),
@@ -533,6 +556,7 @@ EXPERIMENTS = {edef.name: edef for edef in (
         ("trial", "seed", "mean_radius_a", "mean_radius_b"),
         dict(n=(int, 16), pattern_a=(str, "-++"), pattern_b=(str, "++-")),
         _product_symmetry_trial, _product_symmetry_summary,
+        check=_product_symmetry_check,
     ),
     ExperimentDef(
         "real-eig",
@@ -542,6 +566,7 @@ EXPERIMENTS = {edef.name: edef for edef in (
         dict(k=(int, 2), factors=(str, "1,2,4,8"), entries=(str, "gaussian"),
              q=(float, 0.5)),
         _real_eig_point, _real_eig_summary,
+        check=_real_eig_check,
         points="factors",
     ),
     ExperimentDef(
@@ -618,6 +643,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         raise BadParams("workers must be >= 1")
     edef = EXPERIMENTS[cfg.name]
     params = _coerce_params(edef, cfg.params)
+    if edef.check is not None:
+        edef.check(params)
     points = _parse_int_list(params[edef.points]) if edef.points else [None] * cfg.trials
     t0 = time.perf_counter()
     call = partial(_run_trial, cfg.name, cfg.seed, cfg.trials, params)

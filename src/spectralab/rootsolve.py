@@ -176,17 +176,59 @@ def _log_deriv_sums(w: np.ndarray, values: np.ndarray, cnt: np.ndarray):
     """s1 = sum c_j/(w - v_j) = P'/P and s2 = sum c_j/(w - v_j)^2 at each w.
 
     Evaluated in blocks of _BLOCK_ROWS points, so no temporary grows with the
-    square of the degree.
+    square of the degree; each block's terms are formed in place in one buffer.
     """
     s1 = np.empty_like(w)
     s2 = np.empty_like(w)
     for lo in range(0, w.size, _BLOCK_ROWS):
         blk = slice(lo, lo + _BLOCK_ROWS)
+        inv = w[blk, None] - values[None, :]
         with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / (w[blk, None] - values[None, :])
-        s1[blk] = inv @ cnt
-        s2[blk] = (inv * inv) @ cnt
+            np.reciprocal(inv, out=inv)
+            s1[blk] = inv @ cnt
+            np.square(inv, out=inv)
+        s2[blk] = inv @ cnt
     return s1, s2
+
+
+def _newton_steps(w: np.ndarray, values: np.ndarray, cnt: np.ndarray):
+    """Newton step P'/P'' at each w, with s1 = P'/P and den = s1^2 - s2 = P''/P.
+
+    A step that is not finite (w on a pole, or P'' = 0) is replaced by
+    1e-3 (1 + |w|).
+    """
+    s1, s2 = _log_deriv_sums(w, values, cnt)
+    den = s1 * s1 - s2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        newton = s1 / den
+    return np.where(np.isfinite(newton), newton, 1e-3 * (1.0 + np.abs(w))), s1, den
+
+
+def _isolated(w: np.ndarray, cand: np.ndarray, fixed: np.ndarray, values: np.ndarray,
+              cnt: np.ndarray, s1: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Whether the inclusion disk of each candidate w[cand] is clear of its neighbours.
+
+    A disk of radius m |P'/P''| about w holds a root of P', m = deg P'. Here
+    |P'/P| = |s1| is raised by its rounding bound 4 eps sum c_j/|w - v_j|,
+    and den = s1^2 - s2 = P''/P. The disk is clear when its radius is below
+    half the distance from w to the nearest other approximation or fixed
+    point. At a multiple critical point s1 rounds to 0, and the rounding
+    bound keeps the disk wide. Evaluated in blocks of _BLOCK_ROWS candidates.
+    """
+    poles = np.concatenate([w, fixed])
+    m = poles.size
+    eps = np.finfo(float).eps
+    out = np.empty(cand.size, dtype=bool)
+    for lo in range(0, cand.size, _BLOCK_ROWS):
+        blk = slice(lo, lo + _BLOCK_ROWS)
+        rows = cand[blk]
+        with np.errstate(divide="ignore"):
+            absum = (1.0 / np.abs(w[rows, None] - values[None, :])) @ cnt
+        gap = np.abs(w[rows, None] - poles[None, :])
+        gap[np.arange(rows.size), rows] = np.inf
+        radius = m * (np.abs(s1[blk]) + 4.0 * eps * absum) / np.abs(den[blk])
+        out[blk] = radius < 0.5 * gap.min(axis=1)
+    return out
 
 
 def _repulsion(w: np.ndarray, fixed: np.ndarray) -> np.ndarray:
@@ -194,13 +236,14 @@ def _repulsion(w: np.ndarray, fixed: np.ndarray) -> np.ndarray:
     out = np.empty_like(w)
     for lo in range(0, w.size, _BLOCK_ROWS):
         blk = slice(lo, lo + _BLOCK_ROWS)
-        dw = w[blk, None] - w[None, :]
-        rows = np.arange(dw.shape[0])
-        dw[rows, lo + rows] = np.inf
+        inv = w[blk, None] - w[None, :]
+        rows = np.arange(inv.shape[0])
+        inv[rows, lo + rows] = np.inf
         with np.errstate(divide="ignore", invalid="ignore"):
-            out[blk] = np.sum(1.0 / dw, axis=1)
+            out[blk] = np.sum(np.reciprocal(inv, out=inv), axis=1)
             if fixed.size:
-                out[blk] += np.sum(1.0 / (w[blk, None] - fixed[None, :]), axis=1)
+                inv = w[blk, None] - fixed[None, :]
+                out[blk] += np.sum(np.reciprocal(inv, out=inv), axis=1)
     return out
 
 
@@ -210,11 +253,20 @@ def critical_points(p: RootPoly, *, max_iter: int = MAX_ITER) -> RootFindReport:
     Aberth iteration on P'/P, using only the roots of P: no coefficients are
     formed, so the accuracy does not depend on their size. A root of
     multiplicity m contributes m-1 critical points at itself; those are
-    emitted directly and enter the repulsion sum as fixed points. The result
-    is certified by the undamped Newton step |P'/P''| / (1 + |w|), which must
-    be at most NEWTON_TOL at every iterated point; ``residuals`` holds that
-    step (0 for the fixed points). Raises NoConvergence when the iteration
-    stalls or runs out of sweeps first.
+    emitted directly and enter the repulsion sum as fixed points.
+
+    The iteration is deflated, as in MPSolve (Bini & Robol, JCAM 2014): each
+    sweep evaluates P'/P and the repulsion sum only at the active points. A
+    point whose undamped Newton step |P'/P''| / (1 + |w|) is at most
+    NEWTON_TOL still takes that sweep's correction, and then freezes if its
+    inclusion disk is clear of every other point (``_isolated``); frozen
+    points stay in the repulsion sum as fixed poles. Points at a multiple
+    critical point are never isolated, so they iterate together until all
+    active points have converged. When none is left active, a certification
+    sweep evaluates the Newton step of every point at its final position;
+    any point above NEWTON_TOL goes back to the active set. ``residuals``
+    holds the certified steps (0 for the fixed points). Raises NoConvergence
+    when the iteration stalls or runs out of sweeps first.
     """
     if p.degree < 2:
         raise DegenerateInput("degree >= 2 required")
@@ -237,31 +289,49 @@ def critical_points(p: RootPoly, *, max_iter: int = MAX_ITER) -> RootFindReport:
         w = np.where(bad, w + (1e-6 + 1e-6j) * (1.0 + np.abs(w)), w)
 
     cnt = counts.astype(float)
+    active = np.arange(w.size)
     best_step = math.inf
-    best_active = w.size + 1
+    best_moving = w.size + 1
     stalled = 0
     it, worst = 0, math.inf
     for it in range(1, max_iter + 1):
-        s1, s2 = _log_deriv_sums(w, values, cnt)
+        if not active.size:
+            # certification: every point's undamped step at its final position
+            newton, _, _ = _newton_steps(w, values, cnt)
+            steps = np.abs(newton) / (1.0 + np.abs(w))
+            worst = float(steps.max())
+            if worst <= NEWTON_TOL:
+                return RootFindReport(np.concatenate([fixed, w]),
+                                      np.concatenate([np.zeros(fixed.size), steps]),
+                                      it, True)
+            active = np.flatnonzero(steps > NEWTON_TOL)
+            continue
+        wa = w[active]
+        newton, s1, den = _newton_steps(wa, values, cnt)
+        steps = np.abs(newton) / (1.0 + np.abs(wa))
+        worst = float(steps.max())
+        # a converged point freezes after this sweep's correction if it is
+        # isolated; once every active point has converged, all of them do
+        freeze = steps <= NEWTON_TOL
+        cand = np.flatnonzero(freeze)
+        if cand.size < active.size:
+            freeze[cand] = _isolated(w, active[cand], fixed, values, cnt, s1[cand], den[cand])
+        frozen = np.ones(w.size, dtype=bool)
+        frozen[active] = False
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = s1 / (s1 * s1 - s2)  # P'/P''
-        newton = np.where(np.isfinite(newton), newton, 1e-3 * (1.0 + np.abs(w)))
-        newton_step = np.abs(newton) / (1.0 + np.abs(w))
-        worst = float(newton_step.max())
-        if worst <= NEWTON_TOL:
-            return RootFindReport(np.concatenate([fixed, w]),
-                                  np.concatenate([np.zeros(fixed.size), newton_step]),
-                                  it, True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            corr = newton / (1.0 - newton * _repulsion(w, fixed))
+            corr = newton / (1.0 - newton * _repulsion(wa, np.concatenate([w[frozen], fixed])))
         corr = np.where(np.isfinite(corr), corr, newton)
-        w = w - corr
-        steps = np.abs(corr) / (1.0 + np.abs(w))
-        last_step = float(steps.max())
-        active = int(np.sum(steps > NEWTON_TOL))
-        if active < best_active or (active == best_active
+        w[active] = wa - corr
+        moved = np.abs(corr) / (1.0 + np.abs(w[active]))
+        active = active[~freeze]
+        if not active.size:
+            continue
+        # progress = fewer points still moving, or a smaller largest move
+        last_step = float(moved.max())
+        moving = int(np.sum(moved > NEWTON_TOL))
+        if moving < best_moving or (moving == best_moving
                                     and last_step < best_step * (1.0 - 1e-3)):
-            best_active = active
+            best_moving = moving
             best_step = min(best_step, last_step)
             stalled = 0
         else:

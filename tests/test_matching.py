@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import renyi_exponential_order_stats, uniform_order_stats_from_exponentials
+from conftest import renyi_exponential_order_stats
 from spectralab.errors import (
     AlphaNotLeft,
     ComplexRoots,
@@ -203,23 +203,3 @@ class TestRenyi:
     def test_output_sorted(self, e):
         out = renyi_exponential_order_stats(e)
         assert np.all(np.diff(out) >= 0)
-
-
-class TestUniformOrderStats:
-    def test_equal_spacings(self):
-        np.testing.assert_allclose(uniform_order_stats_from_exponentials([1, 1, 1], 2),
-                                   [1 / 3, 2 / 3])
-
-    def test_partial_sums(self):
-        np.testing.assert_allclose(uniform_order_stats_from_exponentials([2, 1, 1], 2),
-                                   [0.5, 0.75])
-
-    def test_strictly_increasing_in_unit_interval(self, rng):
-        e = rng.exponential(size=21)
-        out = uniform_order_stats_from_exponentials(e, 20)
-        assert np.all(np.diff(out) > 0)
-        assert out[0] > 0 and out[-1] < 1
-
-    def test_size_checked(self):
-        with pytest.raises(ValueError):
-            uniform_order_stats_from_exponentials([1.0, 1.0], 2)

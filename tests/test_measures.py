@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import angular_discrepancy_pairs, hull_contains_loop
 from spectralab.errors import (
     EmptyMeasure,
     HypothesisViolated,
@@ -27,6 +28,7 @@ from spectralab.measures import (
     wasserstein1_1d,
 )
 from spectralab.polycore import RootPoly, WeightedLogDeriv
+from spectralab.randgen import RngStream
 from spectralab.rootsolve import critical_points, real_interlaced_critical_points
 
 
@@ -146,6 +148,33 @@ class TestAngularDiscrepancy:
             worst = max(worst, abs(inside.mean() - length / (2 * np.pi)))
         assert worst <= exact + 1e-12
 
+    def test_matches_pair_enumeration(self, rng):
+        for _ in range(40):
+            m = int(rng.integers(1, 201))
+            pts = rng.normal(size=m) + 1j * rng.normal(size=m)
+            assert angular_discrepancy(pts) == pytest.approx(
+                angular_discrepancy_pairs(pts), abs=1e-14)
+
+    def test_ties_match_pair_enumeration(self, rng):
+        for _ in range(40):
+            m = int(rng.integers(2, 121))
+            # few distinct angles, each hit several times, at varying radii
+            angles = 2 * np.pi * rng.integers(0, 12, size=m) / 12
+            pts = rng.uniform(0.5, 2.0, size=m) * np.exp(1j * angles)
+            assert angular_discrepancy(pts) == pytest.approx(
+                angular_discrepancy_pairs(pts), abs=1e-14)
+
+    @pytest.mark.parametrize("pts", [[1.0], [-2j], [1.0, 1.0], [3.0, -1.0], [1.0, 1j],
+                                     [1j, 0.5 + 0.5j], [-1.0, -2.0, 1j]])
+    def test_one_and_two_point_clouds(self, pts):
+        assert angular_discrepancy(pts) == pytest.approx(
+            angular_discrepancy_pairs(pts), abs=1e-15)
+
+    def test_two_points_by_hand(self):
+        # angles 0 and pi/2: the closed arc [0, pi/2] holds everything in a quarter
+        assert angular_discrepancy([1.0, 1j]) == pytest.approx(0.75)
+        assert angular_discrepancy([1.0, 1.0]) == pytest.approx(1.0)
+
 
 class TestErdosTuran:
     def test_cyclotomic_like(self):
@@ -185,6 +214,28 @@ class TestConvexHull:
     def test_single_point_cloud(self):
         got = convex_hull_contains([1 + 1j], [1 + 1j, 1.5], 1e-9)
         assert got.tolist() == [True, False]
+
+    def test_matches_edge_loop_on_criterion_14_inputs(self):
+        # the draws of tests/test_acceptance.py::test_criterion_14_hull_and_interlacing_suites
+        g = RngStream(42, 14).generator()
+        for _ in range(500):
+            n = int(g.integers(3, 41))
+            roots = g.normal(size=n) + 1j * g.normal(size=n)
+            crit = critical_points(RootPoly(roots)).roots
+            # the critical points, plus points pushed just across the boundary
+            queries = np.concatenate([crit, 1.5 * crit - 0.5 * roots.mean(),
+                                      roots + 1e-9, roots * (1 + 1e-12)])
+            np.testing.assert_array_equal(convex_hull_contains(roots, queries, 1e-9),
+                                          hull_contains_loop(roots, queries, 1e-9))
+
+    def test_matches_edge_loop_on_unit_circle(self, rng):
+        roots = np.exp(2j * np.pi * rng.random(1600))
+        crit = critical_points(RootPoly(roots)).roots[:40]
+        radii = np.array([1 - 1e-9, 1 - 1e-12, 1.0, 1 + 1e-12, 1 + 1e-9, 1 + 1e-6])
+        queries = np.concatenate([crit, (radii[:, None] * roots[None, :20]).ravel()])
+        got = convex_hull_contains(roots, queries, 1e-9)
+        np.testing.assert_array_equal(got, hull_contains_loop(roots, queries, 1e-9))
+        assert got[:40].all() and not got[-20:].any()
 
 
 class TestWalshConstant:

@@ -6,7 +6,7 @@ import pytest
 from conftest import assert_multiset_close
 import spectralab.rootsolve as rootsolve
 from spectralab.errors import DegenerateInput, NoConvergence
-from spectralab.labcli.experiments import _walsh_roots, stream_id_for
+from spectralab.labcli.experiments import _thm1_roots, _walsh_roots, stream_id_for
 from spectralab.measures import convex_hull_contains
 from spectralab.polycore import RootPoly, derivative_coefficients, expand_coefficients
 from spectralab.randgen import RngStream
@@ -88,6 +88,72 @@ class TestCriticalPoints:
         assert s1.max() < 1e-6
         # all inside the closed unit disk, as the hull demands
         assert np.abs(rep.roots).max() <= 1.0 + 1e-9
+
+
+def thm1_roots(n):
+    """The roots of thm1-convergence trial 0 at seed 42 (n_large = 1600), cut to the first n."""
+    return _thm1_roots(RngStream(42, stream_id_for("thm1-convergence", 0)), 1600)[:n]
+
+
+# correctly rounded roots of z^4 - 1.5 z^2 + z + 1, whose derivative
+# 4z^3 - 3z + 1 = (2z - 1)^2 (z + 1) has a double zero at 1/2
+DOUBLE_CRIT_ROOTS = [-1.2945061959490187, -0.5946377110072718,
+                     0.9445719534781454 - 0.6378764180064217j,
+                     0.9445719534781454 + 0.6378764180064217j]
+
+
+class TestDeflation:
+    # rows of _log_deriv_sums when every sweep evaluated all 1599 points
+    FULL_SWEEP_ROWS = 25_584
+
+    def test_sweep_budget(self, monkeypatch):
+        rows = []
+        sums = rootsolve._log_deriv_sums
+
+        def counted(w, values, cnt):
+            rows.append(w.size)
+            return sums(w, values, cnt)
+
+        monkeypatch.setattr(rootsolve, "_log_deriv_sums", counted)
+        rep = critical_points(RootPoly(thm1_roots(1600)))
+        assert rep.converged and rep.roots.size == 1599
+        assert sum(rows) <= self.FULL_SWEEP_ROWS // 2
+        # each point froze only after one more correction, so its certificate
+        # sits at the rounding floor rather than just under NEWTON_TOL
+        assert rep.residuals.max() <= 1e-2 * NEWTON_TOL
+
+    def test_max_iter_three_raises(self):
+        with pytest.raises(NoConvergence):
+            critical_points(RootPoly(thm1_roots(1600)), max_iter=3)
+
+    @pytest.mark.parametrize("roots, expected, tol", [
+        ([1, 1j, -1, -1j], [0, 0, 0], 1e-3),
+        (DOUBLE_CRIT_ROOTS, [0.5, 0.5, -1], 1e-6),
+    ], ids=["triple-at-0", "double-at-half"])
+    def test_multiple_critical_points_converge(self, roots, expected, tol):
+        rep = critical_points(RootPoly(roots))
+        assert rep.converged
+        assert rep.residuals.max() <= NEWTON_TOL
+        assert_multiset_close(rep.roots, expected, tol)
+
+    @pytest.mark.parametrize("roots", [
+        thm1_roots(400),
+        _walsh_roots(RngStream(42, stream_id_for("walsh-clusters", 3)),
+                     {"k": 3, "radius": 0.5, "n_per_cluster": 20})[1],
+    ], ids=["thm1-400", "walsh-k3"])
+    def test_residuals_are_steps_at_returned_points(self, roots):
+        rep = critical_points(RootPoly(roots))
+        w = rep.roots
+        assert rep.residuals.max() <= NEWTON_TOL
+        # the same evaluation as the solver's, at the returned positions
+        values, counts = np.unique(roots, return_counts=True)
+        s1, s2 = rootsolve._log_deriv_sums(w, values, counts.astype(float))
+        np.testing.assert_array_equal(rep.residuals,
+                                      np.abs(s1 / (s1 * s1 - s2)) / (1.0 + np.abs(w)))
+        # and an independent one, summed directly
+        inv = 1.0 / (w[:, None] - roots[None, :])
+        s1, s2 = inv.sum(axis=1), (inv * inv).sum(axis=1)
+        assert np.max(np.abs(s1 / (s1 * s1 - s2)) / (1.0 + np.abs(w))) <= NEWTON_TOL
 
 
 class TestRealInterlaced:
