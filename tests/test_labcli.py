@@ -148,6 +148,18 @@ class TestPinnedOutputs:
         run_experiment(ExperimentConfig(name, 7, 3, params, tmp_path, workers))
         assert _output_digests(tmp_path) == PINNED_DIGESTS[name]
 
+    def test_thm1_diagnostics_at_n100_are_pinned(self, tmp_path):
+        # SMALL_PARAMS' n_small = 12 grid is too coarse a witness: at
+        # n_small = 100 a 1-ulp drift of a3_integral or of one projected
+        # distance changes a digest. Seed 7, 3 trials, as above.
+        params = {"n_small": 100, "n_large": 400, "n_proj": 64, "ref_points": 2048,
+                  "diagnostics": 1, "grid_size": 96}
+        run_experiment(ExperimentConfig("thm1-convergence", 7, 3, params, tmp_path, 1))
+        assert _output_digests(tmp_path) == {
+            "summary.json": "20ed3c4f5dd6d25d888fdebf2f3b9b3d416e50f86a43d09df342e11005708bfb",
+            "trials.csv": "ee4ebabf282d44e9626c768438648c8739a5cff0b8b6c5b2e67891da686bd9e0",
+        }
+
 
 class TestRegistry:
     def test_all_experiments_registered(self):
