@@ -20,12 +20,11 @@ import numpy as np
 from .errors import (
     EmptyMeasure,
     HypothesisViolated,
-    NearPole,
     SingularOnContour,
     VanishingEndCoefficient,
     ZeroPoint,
 )
-from .polycore import WeightedLogDeriv, canonical_order, exclusion_radius, log_abs_log_deriv
+from .polycore import WeightedLogDeriv, _log_abs_sums, canonical_order
 
 __all__ = [
     "ClusterSpec",
@@ -46,6 +45,7 @@ __all__ = [
 ]
 
 _HULL_EDGE_BLOCK = 64
+_DIRECTION_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,28 @@ def _as_measure(m) -> EmpiricalMeasure:
     return m if isinstance(m, EmpiricalMeasure) else EmpiricalMeasure(m)
 
 
+def _quantile_w1(xs: np.ndarray, ys: np.ndarray) -> list:
+    """Exact W1 between row k of xs and row k of ys, both sorted along axis 1.
+
+    The integral of |F_a^{-1} - F_b^{-1}| is taken over the merged quantile
+    grid, with breakpoints handled exactly in integer arithmetic (multiples of
+    1/(n*m)). The grid depends only on the row lengths, so it is built once
+    for all rows.
+    """
+    n, m = xs.shape[1], ys.shape[1]
+    if n == m:
+        return [float(np.mean(row)) for row in np.abs(xs - ys)]
+    # breakpoints of both inverse CDFs on the common denominator n*m
+    cuts = np.union1d(np.arange(1, n + 1, dtype=np.int64) * m,
+                      np.arange(1, m + 1, dtype=np.int64) * n)
+    prev = np.concatenate([[0], cuts[:-1]])
+    ia = np.minimum(prev // m, n - 1)
+    ib = np.minimum(prev // n, m - 1)
+    weighted = (cuts - prev) * np.abs(xs[:, ia] - ys[:, ib])
+    # one 1-D sum per row: a single axis=1 sum can round differently
+    return [float(np.sum(row)) / (n * m) for row in weighted]
+
+
 def wasserstein1_1d(a, b) -> float:
     """Exact W1 between two empirical measures on the real line.
 
@@ -83,17 +105,7 @@ def wasserstein1_1d(a, b) -> float:
     """
     xs = _as_measure(a).real_support()
     ys = _as_measure(b).real_support()
-    n, m = xs.size, ys.size
-    if n == m:
-        return float(np.mean(np.abs(xs - ys)))
-    # breakpoints of both inverse CDFs on the common denominator n*m
-    cuts = np.union1d(np.arange(1, n + 1, dtype=np.int64) * m,
-                      np.arange(1, m + 1, dtype=np.int64) * n)
-    prev = np.concatenate([[0], cuts[:-1]])
-    ia = np.minimum(prev // m, n - 1)
-    ib = np.minimum(prev // n, m - 1)
-    total = float(np.sum((cuts - prev) * np.abs(xs[ia] - ys[ib])))
-    return total / (n * m)
+    return _quantile_w1(xs[None, :], ys[None, :])[0]
 
 
 def sliced_wasserstein2d(a, b, n_proj: int, seed: int) -> float:
@@ -101,7 +113,10 @@ def sliced_wasserstein2d(a, b, n_proj: int, seed: int) -> float:
 
     Directions are uniform angles in [0, pi); the value is the plain mean of
     the projected distances, with no direction-sampling correction: a rigid
-    shift by t therefore averages to |t| * 2/pi.
+    shift by t therefore averages to |t| * 2/pi. Directions go in blocks of
+    64, one array pass each: each cloud is projected into a (directions,
+    size) array, sorted along its rows, and every row pair is scored on one
+    quantile grid.
     """
     if n_proj < 1:
         raise ValueError("n_proj >= 1 required")
@@ -110,10 +125,16 @@ def sliced_wasserstein2d(a, b, n_proj: int, seed: int) -> float:
     rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), 0x51D]))
     thetas = rng.uniform(0.0, np.pi, n_proj)
     total = 0.0
-    for t in thetas:
-        pa = am.support.real * math.cos(t) + am.support.imag * math.sin(t)
-        pb = bm.support.real * math.cos(t) + bm.support.imag * math.sin(t)
-        total += wasserstein1_1d(EmpiricalMeasure(pa), EmpiricalMeasure(pb))
+    # directions go in blocks, so no direction x point temporary outgrows one block
+    for lo in range(0, n_proj, _DIRECTION_BLOCK):
+        block = thetas[lo:lo + _DIRECTION_BLOCK]
+        cos = np.array([math.cos(t) for t in block])[:, None]
+        sin = np.array([math.sin(t) for t in block])[:, None]
+        pa = np.sort(am.support.real * cos + am.support.imag * sin, axis=1)
+        pb = np.sort(bm.support.real * cos + bm.support.imag * sin, axis=1)
+        # in direction order; the builtin sum() may compensate and round differently
+        for dist in _quantile_w1(pa, pb):
+            total += dist
     return total / n_proj
 
 
@@ -345,50 +366,40 @@ def potential_diagnostics(w: WeightedLogDeriv, z_list, eps: float, r: float,
     """Growth/decay rates of (1/n) log|L_n| and the disk integral of its square.
 
     a1_rate / a2_rate: fraction of usable probe points where the normalized
-    log exceeds eps / falls below -eps (strict comparisons). a3_integral:
-    midpoint polar-grid value of the integral of (1/n^2) log^2|L_n| over the
-    radius-r disk; cells closer than 1000 pole-exclusion radii to a pole, or
-    where the sum cancels to zero, are skipped and counted.
+    log exceeds eps / falls below -eps (strict comparisons). A probe closer
+    than one pole-exclusion radius to a pole, or where the sum cancels to
+    zero, is skipped and counted. a3_integral: midpoint polar-grid value of
+    the integral of (1/n^2) log^2|L_n| over the radius-r disk; cells closer
+    than 1000 pole-exclusion radii to a pole, or where the sum cancels to
+    zero, are skipped and counted. The probes go in one array pass and the
+    grid in one pass per ring (grid_size cells by n poles); cells are summed
+    ring by ring in angle order.
     """
     if grid_size < 64:
         raise ValueError("grid_size >= 64 required")
+    if not (math.isfinite(r) and r > 0):
+        raise ValueError(f"finite radius r > 0 required, got {r!r}")
     n = len(w.roots)
     if n == 0:
         raise EmptyMeasure("no poles in the log-derivative")
 
-    above = below = used = skipped_pts = 0
-    for z in z_list:
-        try:
-            val = log_abs_log_deriv(w, complex(z))
-        except NearPole:
-            skipped_pts += 1
-            continue
-        if not math.isfinite(val):
-            skipped_pts += 1
-            continue
-        used += 1
-        scaled = val / n
-        if scaled > eps:
-            above += 1
-        elif scaled < -eps:
-            below += 1
+    vals = _log_abs_sums(w, np.asarray(z_list, dtype=complex).ravel(), 1.0)
+    scaled = vals[np.isfinite(vals)] / n
+    used = scaled.size
+    is_above = scaled > eps
+    above = int(np.count_nonzero(is_above))
+    below = int(np.count_nonzero(~is_above & (scaled < -eps)))
 
-    roots = w.root_array()
     dr = r / grid_size
     dth = 2.0 * np.pi / grid_size
     radii = (np.arange(grid_size) + 0.5) * dr
     angles = (np.arange(grid_size) + 0.5) * dth
+    unit_ring = np.exp(1j * angles)
     integral = 0.0
     skipped_cells = 0
     for rho in radii:
-        zs = rho * np.exp(1j * angles)
-        dist = np.min(np.abs(zs[:, None] - roots[None, :]), axis=1)
         cell_weight = rho * dr * dth
-        for z, dmin in zip(zs, dist):
-            if dmin < 1e3 * exclusion_radius(z):
-                skipped_cells += 1
-                continue
-            val = log_abs_log_deriv(w, complex(z))
+        for val in _log_abs_sums(w, rho * unit_ring, 1e3).tolist():
             if not math.isfinite(val):
                 skipped_cells += 1
                 continue
@@ -398,7 +409,7 @@ def potential_diagnostics(w: WeightedLogDeriv, z_list, eps: float, r: float,
         a2_rate=below / used if used else 0.0,
         a3_integral=integral,
         evaluated_points=used,
-        skipped_points=skipped_pts,
+        skipped_points=vals.size - used,
         skipped_cells=skipped_cells,
         total_cells=grid_size * grid_size,
     )

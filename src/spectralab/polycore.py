@@ -30,9 +30,14 @@ __all__ = [
 ]
 
 
-def exclusion_radius(z: complex) -> float:
-    """Pole-exclusion radius around an evaluation point: 1e-12 * (1 + |z|)."""
-    return 1e-12 * (1.0 + abs(z))
+def exclusion_radius(z):
+    """Pole-exclusion radius around an evaluation point: 1e-12 * (1 + |z|).
+
+    z may also be an array of points, giving one radius per point.
+    """
+    z = np.asarray(z, dtype=complex)
+    # hypot, as abs() of one complex point takes it
+    return 1e-12 * (1.0 + np.hypot(z.real, z.imag))
 
 
 def canonical_order(points: Iterable[complex]) -> np.ndarray:
@@ -142,31 +147,49 @@ def derivative_coefficients(p: RootPoly) -> np.ndarray:
     return c[1:] * k
 
 
-def _pole_checked_terms(w: WeightedLogDeriv, z: complex) -> np.ndarray:
-    roots = w.root_array()
-    if roots.size == 0:
-        return np.zeros(0, dtype=complex)
-    d = z - roots
-    rho = exclusion_radius(z)
-    dmin = np.min(np.abs(d))
-    if dmin < rho:
-        raise NearPole(f"evaluation point within {rho:.3e} of a pole")
-    return w.weight_array() / d
+def _scaled_log(m: float, s: float) -> float:
+    """log(m * s) as log m + log s: -inf for a zero product, inf for an infinite scale."""
+    if m == 0.0:
+        return float("-inf")
+    if not math.isfinite(m):
+        return float("inf")
+    if s == 0.0:
+        return float("-inf")
+    return math.log(m) + math.log(s)
+
+
+def _log_abs_sums(w: WeightedLogDeriv, zs: np.ndarray, guard: float) -> np.ndarray:
+    """log|sum(a_k / (z - z_k))| at every point z of the 1-D array zs, in one pass.
+
+    Each point's terms are scaled by their largest modulus m, and the value is
+    log m + log|sum(terms / m)|, so no point can overflow. A point closer than
+    guard exclusion radii to a pole gets nan, and no other point does; a sum
+    that cancels to zero gets -inf. The modulus and the logs are taken per
+    point with hypot and math.log, so a point's value does not depend on the
+    other points in the pass.
+    """
+    d = zs[:, None] - w.root_array()[None, :]
+    near = np.min(np.abs(d), axis=1) < guard * exclusion_radius(zs)
+    terms = w.weight_array() / d[~near]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.max(np.abs(terms), axis=1)
+        s = np.sum(terms / m[:, None], axis=1)
+    out = np.full(zs.size, np.nan)
+    out[~near] = [_scaled_log(mk, sk)
+                  for mk, sk in zip(m.tolist(), np.hypot(s.real, s.imag).tolist())]
+    return out
 
 
 def log_abs_log_deriv(w: WeightedLogDeriv, z: complex) -> float:
     """log|sum(a_k / (z - z_k))|, rescaled term-wise so it cannot overflow.
 
     Returns -inf when the sum underflows to zero (exact cancellation); callers
-    treat that as the NegInfinity flag rather than an error.
+    treat that as the NegInfinity flag rather than an error. Raises NearPole
+    within exclusion_radius(z) of a pole.
     """
-    terms = _pole_checked_terms(w, z)
-    if terms.size == 0:
+    if w.root_array().size == 0:
         return float("-inf")
-    m = float(np.max(np.abs(terms)))
-    if m == 0.0 or not math.isfinite(m):
-        return float("-inf") if m == 0.0 else float("inf")
-    s = abs(np.sum(terms / m))
-    if s == 0.0:
-        return float("-inf")
-    return math.log(m) + math.log(s)
+    val = float(_log_abs_sums(w, np.array([z], dtype=complex), 1.0)[0])
+    if math.isnan(val):
+        raise NearPole(f"evaluation point within {exclusion_radius(z):.3e} of a pole")
+    return val

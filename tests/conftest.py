@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spectralab.measures import _hull_vertices
+from spectralab.measures import PotentialDiagnostics, _hull_vertices
 
 
 def assert_multiset_close(a, b, tol=1e-8):
@@ -93,3 +93,94 @@ def hull_contains_loop(cloud, queries, tol: float) -> np.ndarray:
                 break
         out.append(ok)
     return np.array(out)
+
+
+def log_abs_log_deriv_scalar(w, z: complex) -> float:
+    """log|sum(a_k / (z - z_k))| at one point, terms scaled by their largest modulus.
+
+    None when z is within 1e-12 * (1 + |z|) of a pole.
+    """
+    d = z - w.root_array()
+    if np.min(np.abs(d)) < 1e-12 * (1.0 + abs(z)):
+        return None
+    terms = w.weight_array() / d
+    m = float(np.max(np.abs(terms)))
+    if m == 0.0 or not math.isfinite(m):
+        return float("-inf") if m == 0.0 else float("inf")
+    s = abs(np.sum(terms / m))
+    if s == 0.0:
+        return float("-inf")
+    return math.log(m) + math.log(s)
+
+
+def potential_diagnostics_loop(w, z_list, eps: float, r: float,
+                               grid_size: int) -> PotentialDiagnostics:
+    """potential_diagnostics one probe and one polar-grid cell at a time."""
+    n = w.root_array().size
+    above = below = used = skipped_pts = 0
+    for z in z_list:
+        val = log_abs_log_deriv_scalar(w, complex(z))
+        if val is None or not math.isfinite(val):
+            skipped_pts += 1
+            continue
+        used += 1
+        scaled = val / n
+        if scaled > eps:
+            above += 1
+        elif scaled < -eps:
+            below += 1
+    roots = w.root_array()
+    dr = r / grid_size
+    dth = 2.0 * np.pi / grid_size
+    radii = (np.arange(grid_size) + 0.5) * dr
+    angles = (np.arange(grid_size) + 0.5) * dth
+    integral = 0.0
+    skipped_cells = 0
+    for rho in radii:
+        zs = rho * np.exp(1j * angles)
+        dist = np.min(np.abs(zs[:, None] - roots[None, :]), axis=1)
+        cell_weight = rho * dr * dth
+        for z, dmin in zip(zs, dist):
+            if dmin < 1e3 * (1e-12 * (1.0 + abs(z))):
+                skipped_cells += 1
+                continue
+            val = log_abs_log_deriv_scalar(w, complex(z))
+            if not math.isfinite(val):
+                skipped_cells += 1
+                continue
+            integral += (val * val) / (n * n) * cell_weight
+    return PotentialDiagnostics(
+        a1_rate=above / used if used else 0.0,
+        a2_rate=below / used if used else 0.0,
+        a3_integral=integral,
+        evaluated_points=used,
+        skipped_points=skipped_pts,
+        skipped_cells=skipped_cells,
+        total_cells=grid_size * grid_size,
+    )
+
+
+def wasserstein1_sorted(xs, ys) -> float:
+    """W1 between two sorted real samples, on the merged quantile grid."""
+    n, m = xs.size, ys.size
+    if n == m:
+        return float(np.mean(np.abs(xs - ys)))
+    cuts = np.union1d(np.arange(1, n + 1, dtype=np.int64) * m,
+                      np.arange(1, m + 1, dtype=np.int64) * n)
+    prev = np.concatenate([[0], cuts[:-1]])
+    ia = np.minimum(prev // m, n - 1)
+    ib = np.minimum(prev // n, m - 1)
+    return float(np.sum((cuts - prev) * np.abs(xs[ia] - ys[ib]))) / (n * m)
+
+
+def sliced_wasserstein_loop(a, b, n_proj: int, seed: int) -> float:
+    """sliced_wasserstein2d one projection direction at a time."""
+    pa_pts = np.asarray(a, dtype=complex).ravel()
+    pb_pts = np.asarray(b, dtype=complex).ravel()
+    rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), 0x51D]))
+    total = 0.0
+    for t in rng.uniform(0.0, np.pi, n_proj):
+        pa = pa_pts.real * math.cos(t) + pa_pts.imag * math.sin(t)
+        pb = pb_pts.real * math.cos(t) + pb_pts.imag * math.sin(t)
+        total += wasserstein1_sorted(np.sort(pa), np.sort(pb))
+    return total / n_proj

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import angular_discrepancy_pairs, hull_contains_loop
+from conftest import (
+    angular_discrepancy_pairs,
+    hull_contains_loop,
+    log_abs_log_deriv_scalar,
+    potential_diagnostics_loop,
+    sliced_wasserstein_loop,
+)
 from spectralab.errors import (
     EmptyMeasure,
     HypothesisViolated,
@@ -27,7 +33,7 @@ from spectralab.measures import (
     walsh_constant,
     wasserstein1_1d,
 )
-from spectralab.polycore import RootPoly, WeightedLogDeriv
+from spectralab.polycore import RootPoly, WeightedLogDeriv, _log_abs_sums
 from spectralab.randgen import RngStream
 from spectralab.rootsolve import critical_points, real_interlaced_critical_points
 
@@ -90,6 +96,28 @@ class TestSlicedWasserstein:
         a = rng.normal(size=9) + 1j * rng.normal(size=9)
         b = rng.normal(size=9) + 1j * rng.normal(size=9)
         assert sliced_wasserstein2d(a, b, 32, 11) == sliced_wasserstein2d(a, b, 32, 11)
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 300), (250, 1), (64, 64), (200, 200),
+                                     (100, 2048), (37, 41), (300, 7)])
+    @pytest.mark.parametrize("n_proj", [1, 3, 64, 150])
+    def test_matches_direction_loop_exactly(self, n, m, n_proj, rng):
+        a = rng.normal(size=n) + 1j * rng.normal(size=n)
+        b = rng.normal(size=m) + 1j * rng.normal(size=m)
+        seed = int(rng.integers(2**63))
+        assert sliced_wasserstein2d(a, b, n_proj, seed) == sliced_wasserstein_loop(
+            a, b, n_proj, seed)
+
+    def test_matches_direction_loop_on_thm1_sizes(self, rng):
+        # critical points of a degree-1600 draw against the 2048-point circle
+        crit = np.exp(2j * np.pi * rng.random(1599)) * (1.0 - 0.01 * rng.random(1599))
+        ref = np.exp(2j * np.pi * (np.arange(2048) + 0.5) / 2048)
+        for seed in range(3):
+            assert sliced_wasserstein2d(crit, ref, 64, seed) == sliced_wasserstein_loop(
+                crit, ref, 64, seed)
+
+    def test_zero_projections_refused(self):
+        with pytest.raises(ValueError):
+            sliced_wasserstein2d([0.0], [1.0], 0, seed=1)
 
 
 class TestLevy:
@@ -322,6 +350,63 @@ class TestPotentialDiagnostics:
         w = WeightedLogDeriv([0.0])
         diag = potential_diagnostics(w, [], eps=1.0, r=1.0, grid_size=128)
         assert diag.a3_integral == pytest.approx(math.pi / 2.0, rel=0.02)
+
+    @pytest.mark.parametrize("n", [1, 12, 100, 257])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_cell_loop_exactly(self, n, weighted, rng):
+        roots = rng.normal(size=n) + 1j * rng.normal(size=n)
+        weights = (rng.uniform(0.1, 3.0, n) * np.exp(2j * np.pi * rng.random(n))
+                   if weighted else None)
+        w = WeightedLogDeriv(roots, weights)
+        probes = 1.5 * np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
+        grid = int(rng.integers(64, 100))
+        got = potential_diagnostics(w, probes, eps=0.05, r=1.25, grid_size=grid)
+        assert got == potential_diagnostics_loop(w, probes, 0.05, 1.25, grid)
+
+    def test_root_on_cell_centre_skips_the_cell(self):
+        r, grid = 1.0, 64
+        # cell centres of rings 5 and 40, computed as the grid computes them
+        rho = (np.arange(grid) + 0.5) * (r / grid)
+        ring = np.exp(1j * (np.arange(grid) + 0.5) * (2.0 * np.pi / grid))
+        on_centre = (rho[5] * ring)[17]
+        # 1e-10 off a centre: beyond one exclusion radius, inside the cells' 1000
+        near_centre = (rho[40] * ring)[3] + 1e-10
+        w = WeightedLogDeriv([on_centre, near_centre, 3.0 + 1.0j])
+        got = potential_diagnostics(w, [], eps=1.0, r=r, grid_size=grid)
+        assert got.skipped_cells == 2
+        assert got == potential_diagnostics_loop(w, [], 1.0, r, grid)
+
+    def test_probe_skip_radius_is_one_exclusion_radius(self):
+        # probes use 1 exclusion radius (2e-12 here), cells use 1000
+        w = WeightedLogDeriv([1.0, -1.0])
+        probes = [1.0 + 1e-12, 1.0 + 1e-10, -1.0 - 1e-13j, 0.5]
+        got = potential_diagnostics(w, probes, eps=1.0, r=0.5, grid_size=64)
+        assert (got.skipped_points, got.evaluated_points) == (2, 2)
+        assert got == potential_diagnostics_loop(w, probes, 1.0, 0.5, 64)
+        # with eps < 0 a probe above eps is not also counted below -eps
+        got = potential_diagnostics(w, probes, eps=-1.0, r=0.5, grid_size=64)
+        assert (got.a1_rate, got.a2_rate) == (1.0, 0.0)
+        assert got == potential_diagnostics_loop(w, probes, -1.0, 0.5, 64)
+
+    def test_ring_logs_match_scalar_formula_exactly(self, rng):
+        # one pole at 0 with unit weight: the value at z is log|1/z|, taken over
+        # 20 decades, where a vectorised log can differ from math.log in the last bit
+        zs = np.exp(rng.uniform(-23.0, 23.0, 20000) + 2j * np.pi * rng.random(20000))
+        w = WeightedLogDeriv([0.0])
+        got = _log_abs_sums(w, zs, 1.0).tolist()
+        assert got == [log_abs_log_deriv_scalar(w, complex(z)) for z in zs]
+
+    def test_symmetric_cancellation_matches_cell_loop(self):
+        w = WeightedLogDeriv([2.0, 2.0j, -2.0, -2.0j], [1.0, 1.0j, 1.0, 1.0j])
+        probes = [0.0, 0.5, 1j]
+        got = potential_diagnostics(w, probes, eps=0.5, r=0.5, grid_size=64)
+        assert got.skipped_points == 1
+        assert got == potential_diagnostics_loop(w, probes, 0.5, 0.5, 64)
+
+    @pytest.mark.parametrize("r", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_radius_must_be_finite_and_positive(self, r):
+        with pytest.raises(ValueError):
+            potential_diagnostics(WeightedLogDeriv([0.0]), [1.0], eps=1.0, r=r, grid_size=64)
 
 
 class TestPoissonJensen:

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import log_abs_log_deriv_scalar
 from spectralab.errors import NearPole, SizeMismatch, ZeroDegree
 from spectralab.polycore import (
     RootPoly,
     WeightedLogDeriv,
     canonical_order,
     derivative_coefficients,
+    exclusion_radius,
     expand_coefficients,
     log_abs_log_deriv,
 )
@@ -120,6 +122,13 @@ class TestLogDeriv:
         with pytest.raises(NearPole):
             log_abs_log_deriv(WeightedLogDeriv([1.0]), 1.0 + 1e-14)
 
+    def test_exclusion_radius_per_point(self, rng):
+        zs = rng.normal(size=50) * 10.0 ** rng.integers(-5, 5, 50) + 1j * rng.normal(size=50)
+        radii = exclusion_radius(zs)
+        assert radii.shape == zs.shape
+        assert radii.tolist() == [1e-12 * (1.0 + abs(complex(z))) for z in zs]
+        assert exclusion_radius(3.0 + 4.0j) == 6e-12
+
     def test_weight_length_checked(self):
         with pytest.raises(SizeMismatch):
             WeightedLogDeriv([1, 2], [1.0])
@@ -141,6 +150,18 @@ class TestLogAbsLogDeriv:
     def test_exact_cancellation_flags_neg_infinity(self):
         w = WeightedLogDeriv([1j, -1j])
         assert log_abs_log_deriv(w, 0.0) == float("-inf")
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_scalar_formula_exactly(self, weighted, rng):
+        for n in (1, 7, 100, 300):
+            roots = rng.normal(size=n) + 1j * rng.normal(size=n)
+            weights = (rng.normal(size=n) + 1j * rng.normal(size=n)) if weighted else None
+            w = WeightedLogDeriv(roots, weights)
+            for z in rng.normal(size=10) + 1j * rng.normal(size=10):
+                assert log_abs_log_deriv(w, z) == log_abs_log_deriv_scalar(w, complex(z))
+
+    def test_no_poles_flags_neg_infinity(self):
+        assert log_abs_log_deriv(WeightedLogDeriv([]), 1.0) == float("-inf")
 
     def test_large_n_no_overflow(self):
         n = 10 ** 6
