@@ -379,6 +379,8 @@ def potential_diagnostics(w: WeightedLogDeriv, z_list, eps: float, r: float,
         raise ValueError("grid_size >= 64 required")
     if not (math.isfinite(r) and r > 0):
         raise ValueError(f"finite radius r > 0 required, got {r!r}")
+    if not eps >= 0:
+        raise ValueError(f"eps >= 0 required, got {eps!r}")
     n = len(w.roots)
     if n == 0:
         raise EmptyMeasure("no poles in the log-derivative")
@@ -386,9 +388,8 @@ def potential_diagnostics(w: WeightedLogDeriv, z_list, eps: float, r: float,
     vals = _log_abs_sums(w, np.asarray(z_list, dtype=complex).ravel(), 1.0)
     scaled = vals[np.isfinite(vals)] / n
     used = scaled.size
-    is_above = scaled > eps
-    above = int(np.count_nonzero(is_above))
-    below = int(np.count_nonzero(~is_above & (scaled < -eps)))
+    above = int(np.count_nonzero(scaled > eps))
+    below = int(np.count_nonzero(scaled < -eps))
 
     dr = r / grid_size
     dth = 2.0 * np.pi / grid_size

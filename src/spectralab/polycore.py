@@ -3,7 +3,7 @@
 A polynomial is carried as its multiset of roots plus a leading coefficient,
 so P(z) = leading * prod_k (z - r_k). Degrees are the number of stored roots;
 a root repeated m times simply appears m times. Coefficient expansion is only
-a derived view (needed to feed root solvers), never the primary form.
+a derived view, never the primary form.
 
 The weighted logarithmic derivative sum(a_k / (z - z_k)) is the workhorse for
 everything about critical points: with unit weights it equals P'(z)/P(z).

@@ -27,7 +27,7 @@ from .errors import (
     ZeroPoint,
 )
 from .polycore import canonical_order
-from .randgen import RngStream, sample_complex_gaussian
+from .randgen import _gen, sample_complex_gaussian
 
 __all__ = [
     "RealEigEstimate",
@@ -115,12 +115,16 @@ def ginibre_kernel(n: int, z: complex, w: complex) -> complex:
     return complex(total)
 
 
+def _poisson_log_pmf(lam: float, k: np.ndarray) -> np.ndarray:
+    """log P(Poisson(lam) = k) for lam > 0."""
+    return -lam + k * math.log(lam) - gammaln(k + 1)
+
+
 def _poisson_log_cdf(lam: float, kmax: int) -> float:
     """log P(Poisson(lam) <= kmax), computed in log space."""
     if kmax < 0:
         return -math.inf
-    k = np.arange(kmax + 1)
-    return float(logsumexp(-lam + k * math.log(lam) - gammaln(k + 1))) if lam > 0 else 0.0
+    return float(logsumexp(_poisson_log_pmf(lam, np.arange(kmax + 1)))) if lam > 0 else 0.0
 
 
 def ginibre_intensity(n: int, z: complex) -> float:
@@ -172,9 +176,7 @@ def cross_term(n: int, z1: complex, z2: complex) -> float:
     lam1 = n * r1 ** (2.0 / n)
     lam2 = n * r2 ** (2.0 / n)
     k = np.arange(n)
-    log_terms = (-lam1 + k * math.log(lam1) - gammaln(k + 1)) + \
-                (-lam2 + k * math.log(lam2) - gammaln(k + 1))
-    log_sum = float(logsumexp(log_terms))
+    log_sum = float(logsumexp(_poisson_log_pmf(lam1, k) + _poisson_log_pmf(lam2, k)))
     log_pref = -(2.0 - 2.0 / n) * (math.log(r1) + math.log(r2))
     return math.exp(log_sum + log_pref) / (math.pi ** 2)
 
@@ -270,7 +272,7 @@ def sample_product_ensemble(rng, n: int, epsilons: Sequence[int]) -> SpectrumSam
     eps = [int(e) for e in epsilons]
     if any(e not in (-1, 1) for e in eps):
         raise WrongSize("epsilons must be +1 or -1")
-    g = rng.generator() if isinstance(rng, RngStream) else rng
+    g = _gen(rng)
     resamples = 0
     prod = np.eye(n, dtype=complex)
     for e in eps:
@@ -316,7 +318,7 @@ def real_eig_probability(rng, k: int, n_factors: int, entry_sampler: Callable,
     """
     if trials < 1:
         raise ValueError("trials >= 1 required")
-    g = rng.generator() if isinstance(rng, RngStream) else rng
+    g = _gen(rng)
     entries = np.asarray(entry_sampler(g, (trials, n_factors, k, k)), dtype=float)
     prod = entries[:, 0]
     for i in range(1, n_factors):

@@ -6,9 +6,10 @@ stays accurate at degrees where expanded coefficients would be useless in
 double precision, and each result is certified by its undamped Newton step
 P'/P'' rather than by a coefficient-side residual.
 
-Polynomials given by coefficients have their own public entry points:
-``solve_all`` (Aberth on Horner evaluations, companion-matrix eigenvalues
-through LAPACK when it stalls) and ``companion_roots``. No critical-point
+Polynomials given by coefficients have their own public entry points, with
+one route between them: ``companion_roots`` (companion-matrix eigenvalues
+through LAPACK) and ``solve_all`` (those eigenvalues after one Newton step on
+the coefficients, certified by their backward errors). No critical-point
 computation goes through them.
 
 Real-rooted polynomials get a bracketed fast path: Rolle's theorem puts
@@ -42,7 +43,6 @@ NEWTON_TOL = 1e-11
 MAX_ITER = 200
 _STALL_SWEEPS = 10
 _BLOCK_ROWS = 64
-_NO_POINTS = np.empty(0, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -80,39 +80,6 @@ def _backward_errors(pvals: np.ndarray, hmag: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(res), np.inf, res)
 
 
-def _aberth_sweeps(coeffs: np.ndarray, z0: np.ndarray, tol_root: float, max_iter: int):
-    z = np.array(z0, dtype=complex)
-    best_active = z.size + 1
-    best = math.inf
-    stalled = 0
-    res = np.full(z.shape, math.inf)
-    it = 0
-    for it in range(1, max_iter + 1):
-        p, dp, hmag = _horner_pair(coeffs, z)
-        res = _backward_errors(p, hmag)
-        worst = float(res.max())
-        if worst <= tol_root:
-            return z, res, it, True
-        # progress = fewer unconverged points, or a better worst residual
-        active = int(np.sum(res > tol_root))
-        if active < best_active or (active == best_active and worst < best * (1.0 - 1e-3)):
-            best_active = active
-            best = min(best, worst)
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= _STALL_SWEEPS:
-                break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = p / dp
-        newton = np.where(np.isfinite(newton), newton, 1e-2 * (1.0 + np.abs(z)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            corr = newton / (1.0 - newton * _repulsion(z, _NO_POINTS))
-        corr = np.where(np.isfinite(corr), corr, newton)
-        z = z - corr
-    return z, res, it, False
-
-
 def companion_roots(coeffs) -> np.ndarray:
     """Eigenvalues of the companion matrix of the (monic-normalized) polynomial."""
     from .rmt import eigenvalues  # deferred: rmt builds on this module's siblings
@@ -120,6 +87,8 @@ def companion_roots(coeffs) -> np.ndarray:
     c = np.asarray(coeffs, dtype=complex).ravel()
     if c.size < 2:
         raise DegenerateInput("degree >= 1 required")
+    if not np.all(np.isfinite(c)):
+        raise DegenerateInput("coefficients must be finite")
     if c[-1] == 0:
         raise DegenerateInput("zero leading coefficient")
     n = c.size - 1
@@ -131,45 +100,31 @@ def companion_roots(coeffs) -> np.ndarray:
     return eigenvalues(comp, ensemble="companion").eigenvalues
 
 
-def solve_all(coeffs, *, tol_root: float = TOL_ROOT, max_iter: int = MAX_ITER) -> RootFindReport:
+def solve_all(coeffs) -> RootFindReport:
     """All roots of a coefficient polynomial (ascending coefficients).
 
-    Aberth-Ehrlich iteration from a circle of starting points; if it stalls,
-    companion-matrix eigenvalues take over. A route's roots are accepted only
-    when every normwise relative backward error |P(z)| / sum|c_k||z|^k (the
-    ``residuals``) is at most ``tol_root``. Raises NoConvergence when both
-    routes miss it, DegenerateInput for a zero leading coefficient or
-    degree < 1.
+    Companion-matrix eigenvalues, which are backward stable on the companion
+    matrix (Edelman & Murakami, Math. Comp. 1995), then one Newton step
+    z - P/P' on the coefficients wherever that step is finite. The roots are
+    accepted only when every normwise relative backward error
+    |P(z)| / sum|c_k||z|^k (the ``residuals``) is at most TOL_ROOT; the
+    polish step is what brings badly scaled coefficients under it.
+    ``iterations`` counts the one polish step. Raises NoConvergence when a
+    residual stays above TOL_ROOT, DegenerateInput for a zero leading
+    coefficient, a coefficient that is not finite, or degree < 1.
     """
+    z = companion_roots(coeffs)
     c = np.asarray(coeffs, dtype=complex).ravel()
-    if c.size < 2:
-        raise DegenerateInput("degree >= 1 required")
-    if c[-1] == 0:
-        raise DegenerateInput("zero leading coefficient")
-    n = c.size - 1
-    if n == 1:
-        root = np.array([-c[0] / c[1]])
-        pv, _, hm = _horner_pair(c, root)
-        res = _backward_errors(pv, hm)
-        return RootFindReport(root, res, 0, bool(res.max() <= tol_root))
-
-    radius = 1.0 + float(np.max(np.abs(c[:-1] / c[-1])))
-    angles = 2.0 * np.pi * np.arange(n) / n + 0.4
-    z0 = radius * np.exp(1j * angles)
-    z, res, it, ok = _aberth_sweeps(c, z0, tol_root, max_iter)
-    if ok:
-        return RootFindReport(z, res, it, True)
-
-    zc = companion_roots(c)
-    pv, _, hm = _horner_pair(c, zc)
-    resc = _backward_errors(pv, hm)
-    if resc.max() <= tol_root:
-        return RootFindReport(zc, resc, it, True)
-    if res.max() <= resc.max():
+    p, dp, _ = _horner_pair(c, z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = p / dp
+    z = np.where(np.isfinite(step), z - step, z)
+    p, _, hmag = _horner_pair(c, z)
+    res = _backward_errors(p, hmag)
+    if res.max() > TOL_ROOT:
         raise NoConvergence(
-            f"Aberth stalled at residual {res.max():.3e}, companion at {resc.max():.3e}")
-    raise NoConvergence(
-        f"companion residual {resc.max():.3e} exceeds tol_root {tol_root:.1e}")
+            f"polished companion residual {res.max():.3e} exceeds {TOL_ROOT:.1e}")
+    return RootFindReport(z, res, 1, True)
 
 
 def _log_deriv_sums(w: np.ndarray, values: np.ndarray, cnt: np.ndarray):
@@ -266,11 +221,14 @@ def critical_points(p: RootPoly, *, max_iter: int = MAX_ITER) -> RootFindReport:
     sweep evaluates the Newton step of every point at its final position;
     any point above NEWTON_TOL goes back to the active set. ``residuals``
     holds the certified steps (0 for the fixed points). Raises NoConvergence
-    when the iteration stalls or runs out of sweeps first.
+    when the iteration stalls or runs out of sweeps first, DegenerateInput
+    when a root is not finite or the degree is below 2.
     """
     if p.degree < 2:
         raise DegenerateInput("degree >= 2 required")
     roots = p.root_array()
+    if not np.all(np.isfinite(roots)):
+        raise DegenerateInput("roots must be finite")
     n = roots.size
     values, counts = np.unique(roots, return_counts=True)
     fixed = np.repeat(values, counts - 1)

@@ -383,10 +383,6 @@ class TestPotentialDiagnostics:
         got = potential_diagnostics(w, probes, eps=1.0, r=0.5, grid_size=64)
         assert (got.skipped_points, got.evaluated_points) == (2, 2)
         assert got == potential_diagnostics_loop(w, probes, 1.0, 0.5, 64)
-        # with eps < 0 a probe above eps is not also counted below -eps
-        got = potential_diagnostics(w, probes, eps=-1.0, r=0.5, grid_size=64)
-        assert (got.a1_rate, got.a2_rate) == (1.0, 0.0)
-        assert got == potential_diagnostics_loop(w, probes, -1.0, 0.5, 64)
 
     def test_ring_logs_match_scalar_formula_exactly(self, rng):
         # one pole at 0 with unit weight: the value at z is log|1/z|, taken over
@@ -407,6 +403,11 @@ class TestPotentialDiagnostics:
     def test_radius_must_be_finite_and_positive(self, r):
         with pytest.raises(ValueError):
             potential_diagnostics(WeightedLogDeriv([0.0]), [1.0], eps=1.0, r=r, grid_size=64)
+
+    @pytest.mark.parametrize("eps", [float("nan"), -1.0])
+    def test_eps_must_be_non_negative(self, eps):
+        with pytest.raises(ValueError):
+            potential_diagnostics(WeightedLogDeriv([0.0]), [1.0], eps=eps, r=1.0, grid_size=64)
 
 
 class TestPoissonJensen:

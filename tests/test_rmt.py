@@ -40,7 +40,8 @@ class TestEigenvalues:
         comp[1:, :-1] = np.eye(2)
         comp[:, -1] = -coeffs[:-1]
         got = eigenvalues(comp).eigenvalues
-        assert_multiset_close(got, solve_all(coeffs).roots, 1e-8)
+        assert_multiset_close(got, [1.0, 2.0, 3.0], 1e-8)
+        assert_multiset_close(solve_all(coeffs).roots, [1.0, 2.0, 3.0], 1e-8)
 
     def test_similarity_invariance(self, rng):
         for _ in range(10):
