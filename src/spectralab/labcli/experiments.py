@@ -622,9 +622,14 @@ def _run_trial(name, seed, trials, params, t, point):
     try:
         row, extras = edef.trial(*args)
     except NumericalError as exc:
-        # same type, plus what it takes to replay the trial on its own stream
-        raise type(exc)(f"{name} trial {t} (seed {seed}, stream_id "
-                        f"{stream.stream_id}): {exc}") from exc
+        # same type, plus what it takes to replay the trial on its own stream;
+        # the record survives the trip back from a worker process
+        err = type(exc)(f"{name} trial {t} (seed {seed}, stream_id "
+                        f"{stream.stream_id}): {exc}")
+        err.failure = {"experiment": name, "params": params, "seed": seed, "trial": t,
+                       "stream_id": stream.stream_id, "error": type(exc).__name__,
+                       "message": str(exc)}
+        raise err from exc
     return TrialReport(name, t, seed, row), extras
 
 
@@ -632,7 +637,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute a registered experiment and write trials.csv plus summary.json.
 
     Returns the summary payload. Identical configs produce byte-identical
-    CSV files regardless of worker count.
+    CSV files regardless of worker count. When a trial raises a
+    NumericalError, failure.json (experiment, params, seed, trial, stream_id,
+    error type and message) is written before the error propagates.
     """
     if cfg.name not in EXPERIMENTS:
         raise UnknownExperiment(
@@ -651,11 +658,18 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     # a process pool forks all its workers up front, so never ask for more
     # than there are rows or cores
     workers = min(cfg.workers, len(points), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outs = list(pool.map(call, range(len(points)), points))
-    else:
-        outs = [call(t, point) for t, point in enumerate(points)]
+    try:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                outs = list(pool.map(call, range(len(points)), points))
+        else:
+            outs = [call(t, point) for t, point in enumerate(points)]
+    except NumericalError as exc:
+        if cfg.output_dir is not None:
+            Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+            (Path(cfg.output_dir) / "failure.json").write_text(
+                json.dumps(exc.failure, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        raise
     reports, extras = zip(*outs)
     summary = edef.summarize(params, [rep.metrics for rep in reports], extras)
     wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -672,6 +686,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         return payload
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "failure.json").unlink(missing_ok=True)  # left by an earlier failed run
     columns = edef.columns + tuple(k for k in reports[0].metrics if k not in edef.columns)
     lines = [",".join(columns)]
     for rep in reports:

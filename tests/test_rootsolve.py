@@ -1,4 +1,10 @@
 import math
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,21 +153,28 @@ DOUBLE_CRIT_ROOTS = [-1.2945061959490187, -0.5946377110072718,
 
 
 class TestDeflation:
-    # rows of _log_deriv_sums when every sweep evaluated all 1599 points
+    # rows of the log-derivative sums when every sweep evaluated all 1599 points
     FULL_SWEEP_ROWS = 25_584
 
     def test_sweep_budget(self, monkeypatch):
-        rows = []
-        sums = rootsolve._log_deriv_sums
+        # count the rows of both log-derivative kernels: at degree 1600 every
+        # one must come from the row kernel, so the counter cannot pass idle
+        rows = {"_log_deriv_sums": [], "_row_log_deriv_sums": []}
 
-        def counted(w, values, cnt):
-            rows.append(w.size)
-            return sums(w, values, cnt)
+        def counting(name):
+            sums = getattr(rootsolve, name)
 
-        monkeypatch.setattr(rootsolve, "_log_deriv_sums", counted)
+            def counted(w, *args, **kwargs):
+                rows[name].append(w.size)
+                return sums(w, *args, **kwargs)
+            return counted
+
+        for name in rows:
+            monkeypatch.setattr(rootsolve, name, counting(name))
         rep = critical_points(RootPoly(thm1_roots(1600)))
         assert rep.converged and rep.roots.size == 1599
-        assert sum(rows) <= self.FULL_SWEEP_ROWS // 2
+        assert rows["_log_deriv_sums"] == [] and rows["_row_log_deriv_sums"]
+        assert sum(rows["_row_log_deriv_sums"]) <= self.FULL_SWEEP_ROWS // 2
         # each point froze only after one more correction, so its certificate
         # sits at the rounding floor rather than just under NEWTON_TOL
         assert rep.residuals.max() <= 1e-2 * NEWTON_TOL
@@ -191,13 +204,96 @@ class TestDeflation:
         assert rep.residuals.max() <= NEWTON_TOL
         # the same evaluation as the solver's, at the returned positions
         values, counts = np.unique(roots, return_counts=True)
-        s1, s2 = rootsolve._log_deriv_sums(w, values, counts.astype(float))
+        sums, _, _ = rootsolve._kernels(values, counts)
+        s1, s2 = sums(w)
         np.testing.assert_array_equal(rep.residuals,
                                       np.abs(s1 / (s1 * s1 - s2)) / (1.0 + np.abs(w)))
         # and an independent one, summed directly
         inv = 1.0 / (w[:, None] - roots[None, :])
         s1, s2 = inv.sum(axis=1), (inv * inv).sum(axis=1)
         assert np.max(np.abs(s1 / (s1 * s1 - s2)) / (1.0 + np.abs(w))) <= NEWTON_TOL
+
+
+class ThreadPoolStarted(Exception):
+    pass
+
+
+class RaisingPool:
+    """Stands in for ThreadPoolExecutor: raises if a row kernel asks for a pool."""
+
+    def __init__(self, *args, **kwargs):
+        raise ThreadPoolStarted
+
+
+class TestRowThreads:
+    @pytest.fixture
+    def threads(self, monkeypatch):
+        def force(count):
+            monkeypatch.setattr(rootsolve._ROW_THREADS, "count", count)
+        return force
+
+    def test_thread_count_does_not_change_results(self, threads):
+        p = RootPoly(thm1_roots(1600))
+        reps = []
+        for count in (1, 2):
+            threads(count)
+            reps.append(critical_points(p))
+        np.testing.assert_array_equal(reps[0].roots, reps[1].roots)
+        np.testing.assert_array_equal(reps[0].residuals, reps[1].residuals)
+        assert reps[0].iterations == reps[1].iterations
+
+    def test_small_degrees_start_no_pool(self, threads, monkeypatch):
+        threads(2)
+        monkeypatch.setattr(rootsolve._ROW_THREADS, "executor", None)
+        monkeypatch.setattr(rootsolve, "ThreadPoolExecutor", RaisingPool)
+        for k in (2, 3):
+            for t in range(5):
+                stream = RngStream(42, stream_id_for("walsh-clusters", t))
+                roots = _walsh_roots(stream, {"k": k, **WALSH})[1]
+                assert critical_points(RootPoly(roots)).converged
+        assert critical_points(RootPoly(DOUBLE_CRIT_ROOTS)).converged
+        # the stub does catch a solve that wants the pool
+        with pytest.raises(ThreadPoolStarted):
+            critical_points(RootPoly(thm1_roots(1600)))
+
+    def test_forked_workers_drop_the_inherited_pool(self, tmp_path):
+        # a child forked after the pool exists must not wait on the parent's
+        # threads, which it does not have; without the fork hook it hangs
+        script = textwrap.dedent(f"""
+            import os
+            from pathlib import Path
+            import spectralab.rootsolve as rootsolve
+            from spectralab.labcli.experiments import (
+                ExperimentConfig, _thm1_roots, run_experiment, stream_id_for)
+            from spectralab.polycore import RootPoly
+            from spectralab.randgen import RngStream
+
+            os.cpu_count = lambda: 2  # run_experiment forks on any machine
+            rootsolve._ROW_THREADS.count = 2
+            roots = _thm1_roots(RngStream(42, stream_id_for("thm1-convergence", 0)), 1600)
+            assert rootsolve.critical_points(RootPoly(roots)).converged
+            assert rootsolve._ROW_THREADS.executor is not None
+            for workers in (2, 1):
+                run_experiment(ExperimentConfig(
+                    "thm1-convergence", 7, 4, {{"n_small": 40, "n_large": 400}},
+                    Path({str(tmp_path)!r}) / f"w{{workers}}", workers))
+        """)
+        src = str(Path(rootsolve.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        # its own session, so that a hang can be ended with the workers it forked
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env, text=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                start_new_session=True)
+        try:
+            _, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("a forked worker hung on the inherited thread pool")
+        assert proc.returncode == 0, err
+        assert (tmp_path / "w2" / "trials.csv").read_bytes() == \
+            (tmp_path / "w1" / "trials.csv").read_bytes()
 
 
 class TestRealInterlaced:
