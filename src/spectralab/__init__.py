@@ -9,6 +9,7 @@ Library modules:
 - randgen: deterministic seeded sampling
 - rmt: random-matrix ensembles, kernels, Schur chains
 - labcli: the spectra-lab experiment runner
+- compute: the process's compute threads, shared by row kernels and trials
 """
 
 __version__ = "0.1.0"

@@ -7,7 +7,8 @@ floats: identical configurations produce byte-identical CSV.
 
 An experiment is an ExperimentDef: a trial function, a summary function and
 optional extra tables. The one runner, ``run_experiment``, owns the streams,
-the worker pool and every output file; each trial draws from its stream once.
+the worker pool or trial threads and every output file; each trial draws
+from its stream once.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaincc
 
+from .. import compute
 from ..errors import BadParams, NumericalError, UnknownExperiment
 from ..matching import extremal_gap_statistic, zero_critical_distance
 from ..measures import (
@@ -112,6 +114,9 @@ class ExperimentDef:
     runner calls it before it starts any trial or worker pool.
     files(params) -> {file name: text}. scatter_radius(params) clips trial
     0's spectrum for scatter.svg; without it svg=1 writes no scatter.
+    lapack_bound marks trials that spend their time inside LAPACK, which
+    releases the GIL: with one worker the runner runs them two at a time on
+    the process's compute threads (``compute.map_two``).
     """
 
     name: str
@@ -124,6 +129,7 @@ class ExperimentDef:
     files: Callable | None = None
     points: str | None = None
     scatter_radius: Callable | None = None
+    lapack_bound: bool = False
 
 
 def _column(rows, key) -> list:
@@ -532,6 +538,7 @@ EXPERIMENTS = {edef.name: edef for edef in (
         check=_ginibre_check,
         files=_ginibre_intensity_files,
         scatter_radius=lambda params: math.inf,
+        lapack_bound=True,
     ),
     ExperimentDef(
         "poisson-limit",
@@ -541,6 +548,7 @@ EXPERIMENTS = {edef.name: edef for edef in (
         _poisson_limit_trial, _poisson_limit_summary,
         files=_poisson_limit_files,
         scatter_radius=lambda params: 4.0 * params["r_hi"],
+        lapack_bound=True,
     ),
     ExperimentDef(
         "spherical-count",
@@ -549,6 +557,7 @@ EXPERIMENTS = {edef.name: edef for edef in (
         dict(n=(int, 32)),
         _spherical_count_trial, _spherical_count_summary,
         scatter_radius=lambda params: 5.0,
+        lapack_bound=True,
     ),
     ExperimentDef(
         "product-symmetry",
@@ -557,6 +566,7 @@ EXPERIMENTS = {edef.name: edef for edef in (
         dict(n=(int, 16), pattern_a=(str, "-++"), pattern_b=(str, "++-")),
         _product_symmetry_trial, _product_symmetry_summary,
         check=_product_symmetry_check,
+        lapack_bound=True,
     ),
     ExperimentDef(
         "real-eig",
@@ -637,7 +647,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute a registered experiment and write trials.csv plus summary.json.
 
     Returns the summary payload. Identical configs produce byte-identical
-    CSV files regardless of worker count. When a trial raises a
+    CSV files regardless of worker or thread count. When a trial raises a
     NumericalError, failure.json (experiment, params, seed, trial, stream_id,
     error type and message) is written before the error propagates.
     """
@@ -662,6 +672,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 outs = list(pool.map(call, range(len(points)), points))
+        elif edef.lapack_bound:
+            outs = compute.map_two(lambda t: call(t, points[t]), len(points))
         else:
             outs = [call(t, point) for t, point in enumerate(points)]
     except NumericalError as exc:

@@ -18,9 +18,12 @@ row kernels: each point's row of terms is reduced by ``np.add.reduce``. A
 sweep is Jacobi-style, every point's sums depending only on the previous
 iterate, which is the independence MPSolve's parallel sweeps use (Bini &
 Robol, JCAM 2014). So when a block grid is large, one half of the rows runs
-on the calling thread and the other half on one pool thread: two compute
-threads, or one when the process may use only one core. No BLAS call runs
-under these threads, because OpenBLAS's own workers spin after a call and
+on the calling thread and the other half on the pool thread borrowed from
+``compute``, which owns the process's compute threads: two, or one when the
+process may use only one core or the pool thread is already busy, as it is
+while the experiment runner runs trials on it. The nearest-neighbour pass
+of the inclusion test is a row kernel too. No BLAS call runs under these
+threads, because OpenBLAS's own workers spin after a call and
 take the second core. On the n = 1600 sums of P'/P and P''/P (medians of 21
 runs, 2 vCPUs): gemv on 64-row blocks took 44 ms serial and 41 ms split over
 two threads; ``np.add.reduce`` rows took 31 ms serial and 18 ms on two
@@ -40,13 +43,12 @@ interlacing holds exactly.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
+from .compute import borrow
 from .errors import DegenerateInput, NoConvergence
 from .polycore import RootPoly
 
@@ -182,46 +184,6 @@ def _abs_sums(w: np.ndarray, values: np.ndarray, cnt: np.ndarray) -> np.ndarray:
     return out
 
 
-class _RowThreads:
-    """The compute threads of the row kernels: the caller, plus one pool thread.
-
-    There are min(2, cores this process may run on) of them, and the pool is
-    created on first use. Like BLAS's own threads, they belong to the
-    process. A forked child inherits the pool object but none of its
-    threads, so the fork hook drops the pool and leaves the child one compute
-    thread: worker processes then use one core each. Two threads that call
-    critical_points at once may each create a pool on first use; the one not
-    kept loses its thread when it is collected.
-    """
-
-    def __init__(self):
-        self.count = None  # resolved on first use
-        self.executor = None
-
-    def pool(self):
-        """The executor that takes the second half of the rows, or None on one thread."""
-        if self.count is None:
-            try:
-                cores = len(os.sched_getaffinity(0))
-            except AttributeError:  # a platform without CPU affinity
-                cores = os.cpu_count() or 1
-            self.count = min(2, cores)
-        if self.count < 2:
-            return None
-        if self.executor is None:
-            self.executor = ThreadPoolExecutor(max_workers=1,
-                                               thread_name_prefix="rootsolve-rows")
-        return self.executor
-
-    def after_fork_in_child(self):
-        self.count, self.executor = 1, None
-
-
-_ROW_THREADS = _RowThreads()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_ROW_THREADS.after_fork_in_child)
-
-
 def _row_blocks(block, lo: int, hi: int, bufs) -> None:
     """block(a, b, *views) for consecutive row blocks [a, b) of [lo, hi), as tall as bufs."""
     height = bufs[0].shape[0]
@@ -236,21 +198,24 @@ def _over_rows(block, nrows: int, *bufs: np.ndarray) -> None:
 
     ``bufs`` are (_BLOCK_ROWS, poles) work arrays, allocated by the calling
     thread so that no worker thread grows its own heap. When the grid of
-    nrows x poles is at least _THREAD_GRID and there are two compute
-    threads, the pool thread takes the upper half of the rows with the lower
-    half of every buffer, and the caller takes the rest: each thread works
-    in half-height blocks.
+    nrows x poles is at least _THREAD_GRID and the pool thread of
+    ``compute`` can be borrowed, it takes the upper half of the rows with the
+    lower half of every buffer, and the caller takes the rest: each thread
+    works in half-height blocks.
     """
-    pool = _ROW_THREADS.pool() if nrows * bufs[0].shape[1] >= _THREAD_GRID else None
-    if pool is None:
+    if nrows * bufs[0].shape[1] < _THREAD_GRID:
         _row_blocks(block, 0, nrows, bufs)
         return
-    half, mid = _BLOCK_ROWS // 2, nrows // 2
-    upper = pool.submit(_row_blocks, block, mid, nrows, [buf[half:] for buf in bufs])
-    try:
-        _row_blocks(block, 0, mid, [buf[:half] for buf in bufs])
-    finally:
-        upper.result()
+    with borrow() as pool:
+        if pool is None:
+            _row_blocks(block, 0, nrows, bufs)
+            return
+        half, mid = _BLOCK_ROWS // 2, nrows // 2
+        upper = pool.submit(_row_blocks, block, mid, nrows, [buf[half:] for buf in bufs])
+        try:
+            _row_blocks(block, 0, mid, [buf[:half] for buf in bufs])
+        finally:
+            upper.result()
 
 
 def _row_log_deriv_sums(w: np.ndarray, poles: np.ndarray):
@@ -334,6 +299,22 @@ def _newton_steps(w: np.ndarray, sums):
     return np.where(np.isfinite(newton), newton, 1e-3 * (1.0 + np.abs(w))), s1, den
 
 
+def _row_nearest(w: np.ndarray, rows: np.ndarray, poles: np.ndarray) -> np.ndarray:
+    """min |w[r] - p| over ``poles`` but poles[r], which is w[r], for each r in ``rows``."""
+    out = np.empty(rows.size)
+    at = w[rows]
+
+    def block(lo, hi, diff, dist):
+        np.subtract(at[lo:hi, None], poles, out=diff)
+        np.abs(diff, out=dist)
+        dist[np.arange(hi - lo), rows[lo:hi]] = np.inf
+        np.minimum.reduce(dist, axis=1, out=out[lo:hi])
+
+    _over_rows(block, rows.size, np.empty((_BLOCK_ROWS, poles.size), dtype=complex),
+               np.empty((_BLOCK_ROWS, poles.size)))
+    return out
+
+
 def _isolated(w: np.ndarray, cand: np.ndarray, fixed: np.ndarray, s1: np.ndarray,
               den: np.ndarray, absums) -> np.ndarray:
     """Whether the inclusion disk of each candidate w[cand] is clear of its neighbours.
@@ -344,21 +325,13 @@ def _isolated(w: np.ndarray, cand: np.ndarray, fixed: np.ndarray, s1: np.ndarray
     P''/P. The disk is clear when its radius is below half the distance from
     w to the nearest other approximation or fixed point. At a multiple
     critical point s1 rounds to 0, and the rounding bound keeps the disk
-    wide. Evaluated in blocks of _BLOCK_ROWS candidates.
+    wide. The distances are a row kernel, so a large pass runs on two
+    threads; a minimum of exact differences does not depend on that.
     """
     poles = np.concatenate([w, fixed])
-    m = poles.size
     eps = np.finfo(float).eps
-    absum = absums(w[cand])
-    out = np.empty(cand.size, dtype=bool)
-    for lo in range(0, cand.size, _BLOCK_ROWS):
-        blk = slice(lo, lo + _BLOCK_ROWS)
-        rows = cand[blk]
-        gap = np.abs(w[rows, None] - poles[None, :])
-        gap[np.arange(rows.size), rows] = np.inf
-        radius = m * (np.abs(s1[blk]) + 4.0 * eps * absum[blk]) / np.abs(den[blk])
-        out[blk] = radius < 0.5 * gap.min(axis=1)
-    return out
+    radius = poles.size * (np.abs(s1) + 4.0 * eps * absums(w[cand])) / np.abs(den)
+    return radius < 0.5 * _row_nearest(w, cand, poles)
 
 
 def _repulsion(w: np.ndarray, fixed: np.ndarray) -> np.ndarray:

@@ -307,6 +307,21 @@ class TestOutputs:
         assert (tmp_path / "w1" / "trials.csv").read_bytes() == \
                (tmp_path / "w2" / "trials.csv").read_bytes()
 
+    @pytest.mark.parametrize("name", sorted(ALL_NAMES))
+    def test_thread_and_worker_counts_do_not_change_csv(self, name, monkeypatch, tmp_path):
+        import spectralab.compute as compute
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # workers=2 forks on any machine
+        outputs = set()
+        for threads in (1, 2):
+            monkeypatch.setattr(compute._THREADS, "count", threads)
+            for workers in (1, 2):
+                out = tmp_path / f"t{threads}w{workers}"
+                run_experiment(ExperimentConfig(name, 5, 4, dict(SMALL_PARAMS[name]), out,
+                                                workers))
+                outputs.add((out / "trials.csv").read_bytes())
+        assert len(outputs) == 1
+
     def test_exp_spacing_summary_keys(self, tmp_path):
         cfg = ExperimentConfig("exp-spacing", 42, 2, {"n": 30}, tmp_path / "es")
         payload = run_experiment(cfg)

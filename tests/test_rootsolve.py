@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_multiset_close
+import spectralab.compute as compute
 import spectralab.rootsolve as rootsolve
 from spectralab.errors import DegenerateInput, NoConvergence
 from spectralab.labcli.experiments import _thm1_roots, _walsh_roots, stream_id_for
@@ -229,7 +230,7 @@ class TestRowThreads:
     @pytest.fixture
     def threads(self, monkeypatch):
         def force(count):
-            monkeypatch.setattr(rootsolve._ROW_THREADS, "count", count)
+            monkeypatch.setattr(compute._THREADS, "count", count)
         return force
 
     def test_thread_count_does_not_change_results(self, threads):
@@ -244,8 +245,8 @@ class TestRowThreads:
 
     def test_small_degrees_start_no_pool(self, threads, monkeypatch):
         threads(2)
-        monkeypatch.setattr(rootsolve._ROW_THREADS, "executor", None)
-        monkeypatch.setattr(rootsolve, "ThreadPoolExecutor", RaisingPool)
+        monkeypatch.setattr(compute._THREADS, "executor", None)
+        monkeypatch.setattr(compute, "ThreadPoolExecutor", RaisingPool)
         for k in (2, 3):
             for t in range(5):
                 stream = RngStream(42, stream_id_for("walsh-clusters", t))
@@ -262,6 +263,7 @@ class TestRowThreads:
         script = textwrap.dedent(f"""
             import os
             from pathlib import Path
+            import spectralab.compute as compute
             import spectralab.rootsolve as rootsolve
             from spectralab.labcli.experiments import (
                 ExperimentConfig, _thm1_roots, run_experiment, stream_id_for)
@@ -269,10 +271,10 @@ class TestRowThreads:
             from spectralab.randgen import RngStream
 
             os.cpu_count = lambda: 2  # run_experiment forks on any machine
-            rootsolve._ROW_THREADS.count = 2
+            compute._THREADS.count = 2
             roots = _thm1_roots(RngStream(42, stream_id_for("thm1-convergence", 0)), 1600)
             assert rootsolve.critical_points(RootPoly(roots)).converged
-            assert rootsolve._ROW_THREADS.executor is not None
+            assert compute._THREADS.executor is not None
             for workers in (2, 1):
                 run_experiment(ExperimentConfig(
                     "thm1-convergence", 7, 4, {{"n_small": 40, "n_large": 400}},
