@@ -29,7 +29,7 @@ from scipy.integrate import quad
 from scipy.special import gammaincc
 
 from .. import compute
-from ..errors import BadParams, NumericalError, UnknownExperiment
+from ..errors import BadParams, HypothesisViolated, NumericalError, UnknownExperiment
 from ..matching import extremal_gap_statistic, zero_critical_distance
 from ..measures import (
     ClusterSpec,
@@ -110,8 +110,11 @@ class ExperimentDef:
     key is dropped. Point experiments name a list param in ``points`` and
     get one row per entry from trial(stream, params, entry, trials).
     summarize(params, rows, extras) -> summary dict.
-    check(params) raises BadParams for values no trial can run with; the
-    runner calls it before it starts any trial or worker pool.
+    param_spec maps each parameter to (type, default) or (type, default,
+    least): an int below its least value, or a point list with an entry
+    below it, is refused. check(params) raises BadParams for the other
+    values no trial can run with. The runner applies both before it starts
+    any trial or worker pool.
     files(params) -> {file name: text}. scatter_radius(params) clips trial
     0's spectrum for scatter.svg; without it svg=1 writes no scatter.
     lapack_bound marks trials that spend their time inside LAPACK, which
@@ -259,9 +262,9 @@ def _thm1_summary(params, rows, extras):
 
 # --- ginibre-intensity -----------------------------------------------------
 
-def _ginibre_check(params):
-    if params["bins"] < 1:
-        raise BadParams("bins must be >= 1")
+def _radius_range_check(params):
+    if not 0.0 <= params["r_lo"] < params["r_hi"]:
+        raise BadParams("0 <= r_lo < r_hi required")
 
 
 def _ginibre_bins(params):
@@ -443,6 +446,15 @@ def _walsh_roots(stream, params):
     return centers, np.concatenate(roots)
 
 
+def _walsh_check(params):
+    if params["radius"] <= 0:
+        raise BadParams("radius must be > 0")
+    try:
+        walsh_constant(params["k"], params["eps"], 5.0 * params["k"])
+    except HypothesisViolated as exc:
+        raise BadParams(f"k={params['k']}, eps={params['eps']}: {exc}") from exc
+
+
 def _walsh_trial(stream, params):
     k = params["k"]
     radius = params["radius"]
@@ -509,23 +521,23 @@ EXPERIMENTS = {edef.name: edef for edef in (
         "exp-spacing",
         "extremal zero/critical spacing statistics for exponential samples",
         ("trial", "n", "seed", "left_stat", "right_stat", "d1", "mean_roots"),
-        dict(n=(int, 2000), rate=(float, 1.0)),
+        dict(n=(int, 2000, 3), rate=(float, 1.0)),
         _exp_spacing_trial, _exp_spacing_summary,
     ),
     ExperimentDef(
         "matching-lln",
         "matching distance of half-normal-rooted polynomials vs the first moment",
         ("trial", "n", "seed", "d1", "mean_roots"),
-        dict(n=(int, 200)),
+        dict(n=(int, 200, 2)),
         _matching_lln_trial, _matching_lln_summary,
     ),
     ExperimentDef(
         "thm1-convergence",
         "critical-point measure convergence for two-sequence random picks",
         ("trial", "seed", "w1_small", "w1_large", "improved"),
-        dict(n_small=(int, 100), n_large=(int, 1600), n_proj=(int, 64),
-             ref_points=(int, 2048), diagnostics=(int, 0), grid_size=(int, 96),
-             quad_nodes=(int, 4096)),
+        dict(n_small=(int, 100, 2), n_large=(int, 1600, 2), n_proj=(int, 64, 1),
+             ref_points=(int, 2048, 1), diagnostics=(int, 0, 0), grid_size=(int, 96, 64),
+             quad_nodes=(int, 4096, 1)),
         _thm1_trial, _thm1_summary,
         check=_thm1_check,
     ),
@@ -533,9 +545,9 @@ EXPERIMENTS = {edef.name: edef for edef in (
         "ginibre-intensity",
         "radial eigenvalue histogram against the kernel intensity",
         ("trial", "seed"),
-        dict(n=(int, 64), r_lo=(float, 0.2), r_hi=(float, 0.9), bins=(int, 7)),
+        dict(n=(int, 64, 1), r_lo=(float, 0.2), r_hi=(float, 0.9), bins=(int, 7, 1)),
         _ginibre_intensity_trial, _ginibre_intensity_summary,
-        check=_ginibre_check,
+        check=_radius_range_check,
         files=_ginibre_intensity_files,
         scatter_radius=lambda params: math.inf,
         lapack_bound=True,
@@ -544,8 +556,9 @@ EXPERIMENTS = {edef.name: edef for edef in (
         "poisson-limit",
         "annulus counts of powered Ginibre spectra against the limit intensity",
         ("trial", "seed", "count"),
-        dict(n=(int, 64), r_lo=(float, 1.0), r_hi=(float, math.e)),
+        dict(n=(int, 64, 1), r_lo=(float, 1.0), r_hi=(float, math.e)),
         _poisson_limit_trial, _poisson_limit_summary,
+        check=_radius_range_check,
         files=_poisson_limit_files,
         scatter_radius=lambda params: 4.0 * params["r_hi"],
         lapack_bound=True,
@@ -554,7 +567,7 @@ EXPERIMENTS = {edef.name: edef for edef in (
         "spherical-count",
         "unit-disk eigenvalue counts of the inverse-pair product ensemble",
         ("trial", "seed", "count_unit_disk"),
-        dict(n=(int, 32)),
+        dict(n=(int, 32, 1)),
         _spherical_count_trial, _spherical_count_summary,
         scatter_radius=lambda params: 5.0,
         lapack_bound=True,
@@ -563,7 +576,7 @@ EXPERIMENTS = {edef.name: edef for edef in (
         "product-symmetry",
         "radial spectra of two inversion patterns with equal signature sum",
         ("trial", "seed", "mean_radius_a", "mean_radius_b"),
-        dict(n=(int, 16), pattern_a=(str, "-++"), pattern_b=(str, "++-")),
+        dict(n=(int, 16, 1), pattern_a=(str, "-++"), pattern_b=(str, "++-")),
         _product_symmetry_trial, _product_symmetry_summary,
         check=_product_symmetry_check,
         lapack_bound=True,
@@ -573,7 +586,7 @@ EXPERIMENTS = {edef.name: edef for edef in (
         "probability that k x k matrix products have an all-real spectrum "
         "(one row per factor count; --trials sets the Monte Carlo budget)",
         ("trial", "seed", "n_factors", "p_hat", "stderr", "mc_trials"),
-        dict(k=(int, 2), factors=(str, "1,2,4,8"), entries=(str, "gaussian"),
+        dict(k=(int, 2, 1), factors=(str, "1,2,4,8", 1), entries=(str, "gaussian"),
              q=(float, 0.5)),
         _real_eig_point, _real_eig_summary,
         check=_real_eig_check,
@@ -583,9 +596,10 @@ EXPERIMENTS = {edef.name: edef for edef in (
         "walsh-clusters",
         "critical-point deficiencies of clustered roots against the escape bound",
         ("trial", "seed", "max_deficiency", "bound", "violated"),
-        dict(k=(int, 2), n_per_cluster=(int, 20), radius=(float, 0.5),
+        dict(k=(int, 2, 1), n_per_cluster=(int, 20, 2), radius=(float, 0.5),
              eps=(float, 0.45)),
         _walsh_trial, _walsh_summary,
+        check=_walsh_check,
     ),
     ExperimentDef(
         "discrepancy",
@@ -593,18 +607,18 @@ EXPERIMENTS = {edef.name: edef for edef in (
         "(one row per size in n_list; --trials is ignored)",
         ("trial", "seed", "n", "discrepancy", "discrepancy_sq", "et_rhs",
          "within_bound"),
-        dict(n_list=(str, "32,64,128,256"), C=(float, 10.0)),
+        dict(n_list=(str, "32,64,128,256", 2), C=(float, 10.0)),
         _discrepancy_point, _discrepancy_summary,
         points="n_list",
     ),
 )}
 
-_UNIVERSAL_PARAMS = {"svg": (int, 0), "spectra": (int, 0)}
+_UNIVERSAL_PARAMS = {"svg": (int, 0, 0), "spectra": (int, 0, 0)}
 
 
 def _coerce_params(edef: ExperimentDef, raw: dict) -> dict:
     spec = {**edef.param_spec, **_UNIVERSAL_PARAMS}
-    out = {key: default for key, (_, default) in spec.items()}
+    out = {key: default for key, (_, default, *_) in spec.items()}
     for key, value in raw.items():
         if key not in spec:
             raise BadParams(f"unknown parameter {key!r} for {edef.name}")
@@ -613,6 +627,11 @@ def _coerce_params(edef: ExperimentDef, raw: dict) -> dict:
             out[key] = caster(value)
         except (TypeError, ValueError) as exc:
             raise BadParams(f"parameter {key!r}: cannot convert {value!r}") from exc
+    for key, (_, _, *least) in spec.items():
+        # the least value of a point list bounds each of its entries
+        vals = _parse_int_list(out[key]) if key == edef.points else (out[key],)
+        if least and min(vals) < least[0]:
+            raise BadParams(f"parameter {key!r} must be >= {least[0]}")
     return out
 
 

@@ -12,26 +12,27 @@ through LAPACK) and ``solve_all`` (those eigenvalues after one Newton step on
 the coefficients, certified by their backward errors). No critical-point
 computation goes through them.
 
-From degree _ROW_KERNEL_DEGREE on, the sweeps' sums (P'/P and P''/P, the
-repulsion sum, and the rounding bound of the inclusion test) are BLAS-free
-row kernels: each point's row of terms is reduced by ``np.add.reduce``. A
-sweep is Jacobi-style, every point's sums depending only on the previous
+The sweeps' sums are BLAS-free row kernels: each point's row of terms is
+reduced by ``np.add.reduce``. The repulsion sum and the rounding bound of the
+inclusion test use them at every degree, and so do the sums of P'/P and
+P''/P from degree _ROW_KERNEL_DEGREE on. Below that degree P'/P and P''/P
+are BLAS matrix-vector products over the distinct roots, as they are in the
+real gap solver: row reductions of them stall at a double critical point,
+where the simple-root certificate P'/P'' shrinks only linearly.
+
+A sweep is Jacobi-style, every point's sums depending only on the previous
 iterate, which is the independence MPSolve's parallel sweeps use (Bini &
 Robol, JCAM 2014). So when a block grid is large, one half of the rows runs
 on the calling thread and the other half on the pool thread borrowed from
 ``compute``, which owns the process's compute threads: two, or one when the
 process may use only one core or the pool thread is already busy, as it is
-while the experiment runner runs trials on it. The nearest-neighbour pass
-of the inclusion test is a row kernel too. No BLAS call runs under these
-threads, because OpenBLAS's own workers spin after a call and
-take the second core. On the n = 1600 sums of P'/P and P''/P (medians of 21
-runs, 2 vCPUs): gemv on 64-row blocks took 44 ms serial and 41 ms split over
-two threads; ``np.add.reduce`` rows took 31 ms serial and 18 ms on two
-threads; gemv on two threads with OPENBLAS_NUM_THREADS=1 took 18 ms. Each
-row is reduced on its own, so results do not depend on the thread count.
-Below that degree, where one thread of row reductions is no faster, the
-sums of P'/P are BLAS matrix-vector products over the distinct roots, as
-they are in the real gap solver, and every sweep runs on the calling thread.
+while the experiment runner runs trials on it. No BLAS call runs under these
+threads, because OpenBLAS's own workers spin after a call and take the
+second core. On the n = 1600 sums of P'/P and P''/P (medians of 21 runs,
+2 vCPUs): gemv on 64-row blocks took 44 ms serial and 41 ms split over two
+threads; ``np.add.reduce`` rows took 31 ms serial and 18 ms on two threads;
+gemv on two threads with OPENBLAS_NUM_THREADS=1 took 18 ms. Each row is
+reduced on its own, so results do not depend on the thread count.
 
 Real-rooted polynomials get a bracketed fast path: Rolle's theorem puts
 exactly one critical point strictly between consecutive distinct roots, where
@@ -66,7 +67,7 @@ NEWTON_TOL = 1e-11
 MAX_ITER = 200
 _STALL_SWEEPS = 10
 _BLOCK_ROWS = 64
-# degree from which critical_points runs the BLAS-free row kernels: one
+# degree from which critical_points sums P'/P and P''/P by row kernels: one
 # thread of them ties gemv at degree 80 (2.10 vs 2.12 ms) and wins from there
 _ROW_KERNEL_DEGREE = 80
 # rows x columns from which a row kernel splits its rows over two threads
@@ -174,16 +175,6 @@ def _log_deriv_sums(w: np.ndarray, values: np.ndarray, cnt: np.ndarray):
     return s1, s2
 
 
-def _abs_sums(w: np.ndarray, values: np.ndarray, cnt: np.ndarray) -> np.ndarray:
-    """sum c_j/|w - v_j| at each w, in blocks of _BLOCK_ROWS points."""
-    out = np.empty(w.size)
-    for lo in range(0, w.size, _BLOCK_ROWS):
-        blk = slice(lo, lo + _BLOCK_ROWS)
-        with np.errstate(divide="ignore"):
-            out[blk] = (1.0 / np.abs(w[blk, None] - values[None, :])) @ cnt
-    return out
-
-
 def _row_blocks(block, lo: int, hi: int, bufs) -> None:
     """block(a, b, *views) for consecutive row blocks [a, b) of [lo, hi), as tall as bufs."""
     height = bufs[0].shape[0]
@@ -253,7 +244,7 @@ def _row_abs_sums(w: np.ndarray, poles: np.ndarray) -> np.ndarray:
 
 
 def _row_repulsion(w: np.ndarray, fixed: np.ndarray) -> np.ndarray:
-    """``_repulsion`` as one row reduction per point over w and ``fixed`` together."""
+    """Aberth term sum_{j != i} 1/(w_i - w_j) + sum_k 1/(w_i - fixed_k), by row reductions."""
     poles = np.concatenate([w, fixed])
     out = np.empty_like(w)
 
@@ -268,22 +259,18 @@ def _row_repulsion(w: np.ndarray, fixed: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kernels(values: np.ndarray, counts: np.ndarray):
-    """The (log-derivative sums, absolute sums, repulsion) kernels of one critical_points call.
+def _sums_kernel(values: np.ndarray, counts: np.ndarray):
+    """The kernel of s1 = P'/P and s2 = sum c_j/(w - v_j)^2 for one critical_points call.
 
     ``values`` are the distinct roots in ascending order and ``counts`` their
-    multiplicities. From degree _ROW_KERNEL_DEGREE: the BLAS-free row kernels
+    multiplicities. From degree _ROW_KERNEL_DEGREE: the BLAS-free row kernel
     over every root, repeated by multiplicity. Below it: matrix-vector
-    products over the distinct roots, weighted by multiplicity. Each sum
-    kernel takes only the evaluation points.
+    products over the distinct roots, weighted by multiplicity. The kernel
+    takes only the evaluation points.
     """
     if counts.sum() >= _ROW_KERNEL_DEGREE:
-        poles = np.repeat(values, counts)
-        return (partial(_row_log_deriv_sums, poles=poles),
-                partial(_row_abs_sums, poles=poles), _row_repulsion)
-    cnt = counts.astype(float)
-    return (partial(_log_deriv_sums, values=values, cnt=cnt),
-            partial(_abs_sums, values=values, cnt=cnt), _repulsion)
+        return partial(_row_log_deriv_sums, poles=np.repeat(values, counts))
+    return partial(_log_deriv_sums, values=values, cnt=counts.astype(float))
 
 
 def _newton_steps(w: np.ndarray, sums):
@@ -316,38 +303,22 @@ def _row_nearest(w: np.ndarray, rows: np.ndarray, poles: np.ndarray) -> np.ndarr
 
 
 def _isolated(w: np.ndarray, cand: np.ndarray, fixed: np.ndarray, s1: np.ndarray,
-              den: np.ndarray, absums) -> np.ndarray:
+              den: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """Whether the inclusion disk of each candidate w[cand] is clear of its neighbours.
 
     A disk of radius m |P'/P''| about w holds a root of P', m = deg P'. Here
-    |P'/P| = |s1| is raised by its rounding bound 4 eps sum c_j/|w - v_j|
-    (from ``absums``, the call's absolute-sum kernel), and den = s1^2 - s2 =
+    |P'/P| = |s1| is raised by its rounding bound 4 eps sum 1/|w - r| over
+    ``roots``, the roots of P repeated by multiplicity, and den = s1^2 - s2 =
     P''/P. The disk is clear when its radius is below half the distance from
     w to the nearest other approximation or fixed point. At a multiple
     critical point s1 rounds to 0, and the rounding bound keeps the disk
-    wide. The distances are a row kernel, so a large pass runs on two
-    threads; a minimum of exact differences does not depend on that.
+    wide. The bound and the distances are row kernels, each row reduced on
+    its own, so a large pass runs on two threads with unchanged bits.
     """
     poles = np.concatenate([w, fixed])
     eps = np.finfo(float).eps
-    radius = poles.size * (np.abs(s1) + 4.0 * eps * absums(w[cand])) / np.abs(den)
+    radius = poles.size * (np.abs(s1) + 4.0 * eps * _row_abs_sums(w[cand], roots)) / np.abs(den)
     return radius < 0.5 * _row_nearest(w, cand, poles)
-
-
-def _repulsion(w: np.ndarray, fixed: np.ndarray) -> np.ndarray:
-    """Aberth term sum_{j != i} 1/(w_i - w_j) plus sum_k 1/(w_i - fixed_k), in row blocks."""
-    out = np.empty_like(w)
-    for lo in range(0, w.size, _BLOCK_ROWS):
-        blk = slice(lo, lo + _BLOCK_ROWS)
-        inv = w[blk, None] - w[None, :]
-        rows = np.arange(inv.shape[0])
-        inv[rows, lo + rows] = np.inf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[blk] = np.sum(np.reciprocal(inv, out=inv), axis=1)
-            if fixed.size:
-                inv = w[blk, None] - fixed[None, :]
-                out[blk] += np.sum(np.reciprocal(inv, out=inv), axis=1)
-    return out
 
 
 def critical_points(p: RootPoly, *, max_iter: int = MAX_ITER) -> RootFindReport:
@@ -394,7 +365,8 @@ def critical_points(p: RootPoly, *, max_iter: int = MAX_ITER) -> RootFindReport:
             break
         w = np.where(bad, w + (1e-6 + 1e-6j) * (1.0 + np.abs(w)), w)
 
-    sums, absums, repulsion = _kernels(values, counts)
+    sums = _sums_kernel(values, counts)
+    poles = np.repeat(values, counts)
     active = np.arange(w.size)
     best_step = math.inf
     best_moving = w.size + 1
@@ -421,11 +393,11 @@ def critical_points(p: RootPoly, *, max_iter: int = MAX_ITER) -> RootFindReport:
         freeze = steps <= NEWTON_TOL
         cand = np.flatnonzero(freeze)
         if cand.size < active.size:
-            freeze[cand] = _isolated(w, active[cand], fixed, s1[cand], den[cand], absums)
+            freeze[cand] = _isolated(w, active[cand], fixed, s1[cand], den[cand], poles)
         frozen = np.ones(w.size, dtype=bool)
         frozen[active] = False
         with np.errstate(divide="ignore", invalid="ignore"):
-            corr = newton / (1.0 - newton * repulsion(wa, np.concatenate([w[frozen], fixed])))
+            corr = newton / (1.0 - newton * _row_repulsion(wa, np.concatenate([w[frozen], fixed])))
         corr = np.where(np.isfinite(corr), corr, newton)
         w[active] = wa - corr
         moved = np.abs(corr) / (1.0 + np.abs(w[active]))
