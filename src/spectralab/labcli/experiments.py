@@ -326,6 +326,11 @@ def _poisson_limit_summary(params, rows, extras):
     }
 
 
+def _poisson_limit_check(params):
+    if not 0.0 < params["r_lo"] < params["r_hi"]:
+        raise BadParams("0 < r_lo < r_hi required (intensity.csv starts at r_lo / 2)")
+
+
 def _poisson_limit_files(params):
     table_r = np.linspace(0.5 * params["r_lo"], 2.0 * params["r_hi"], 121)
     return {"intensity.csv": _intensity_table(
@@ -558,7 +563,7 @@ EXPERIMENTS = {edef.name: edef for edef in (
         ("trial", "seed", "count"),
         dict(n=(int, 64, 1), r_lo=(float, 1.0), r_hi=(float, math.e)),
         _poisson_limit_trial, _poisson_limit_summary,
-        check=_radius_range_check,
+        check=_poisson_limit_check,
         files=_poisson_limit_files,
         scatter_radius=lambda params: 4.0 * params["r_hi"],
         lapack_bound=True,

@@ -13,12 +13,12 @@ the coefficients, certified by their backward errors). No critical-point
 computation goes through them.
 
 The sweeps' sums are BLAS-free row kernels: each point's row of terms is
-reduced by ``np.add.reduce``. The repulsion sum and the rounding bound of the
-inclusion test use them at every degree, and so do the sums of P'/P and
-P''/P from degree _ROW_KERNEL_DEGREE on. Below that degree P'/P and P''/P
-are BLAS matrix-vector products over the distinct roots, as they are in the
-real gap solver: row reductions of them stall at a double critical point,
-where the simple-root certificate P'/P'' shrinks only linearly.
+reduced by ``np.add.reduce``. The repulsion sum, the rounding bound of the
+inclusion test and the real gap solver use them at every size, and the sums
+of P'/P and P''/P from degree _ROW_KERNEL_DEGREE on. Below that degree those
+are BLAS matrix-vector products over the distinct roots: row reductions of
+them stall at a double critical point, where the simple-root certificate
+P'/P'' shrinks only linearly.
 
 A sweep is Jacobi-style, every point's sums depending only on the previous
 iterate, which is the independence MPSolve's parallel sweeps use (Bini &
@@ -36,9 +36,9 @@ reduced on its own, so results do not depend on the thread count.
 
 Real-rooted polynomials get a bracketed fast path: Rolle's theorem puts
 exactly one critical point strictly between consecutive distinct roots, where
-sum(1/(x - x_k)) falls strictly from +inf to -inf. Safeguarded Newton on that
-sum, with a bracket kept from its sign, finds it and never leaves the gap, so
-interlacing holds exactly.
+sum(1/(x - x_k)) falls strictly from +inf to -inf. That secular equation is
+solved by the fixed-weight rational step of LAPACK's dlaed4 inside a bracket
+kept from its sign, so it never leaves the gap and interlacing holds exactly.
 """
 
 from __future__ import annotations
@@ -184,19 +184,20 @@ def _row_blocks(block, lo: int, hi: int, bufs) -> None:
             block(a, b, *(buf[:b - a] for buf in bufs))
 
 
-def _over_rows(block, nrows: int, *bufs: np.ndarray) -> None:
+def _over_rows(block, nrows: int, ncols: int, *dtypes) -> None:
     """Run ``block`` over the rows [0, nrows) in blocks, on two threads when the grid is large.
 
-    ``bufs`` are (_BLOCK_ROWS, poles) work arrays, allocated by the calling
-    thread so that no worker thread grows its own heap. When the grid of
-    nrows x poles is at least _THREAD_GRID and the pool thread of
-    ``compute`` can be borrowed, it takes the upper half of the rows with the
-    lower half of every buffer, and the caller takes the rest: each thread
-    works in half-height blocks.
+    One work array per dtype is allocated by the calling thread, so that no
+    worker thread grows its own heap. A grid of nrows x ncols below
+    _THREAD_GRID is one block. A larger one runs in blocks of _BLOCK_ROWS;
+    when the pool thread of ``compute`` can be borrowed, it takes the upper
+    half of the rows with the lower half of every buffer, and the caller
+    takes the rest, each in half-height blocks.
     """
-    if nrows * bufs[0].shape[1] < _THREAD_GRID:
-        _row_blocks(block, 0, nrows, bufs)
+    if nrows * ncols < _THREAD_GRID:
+        _row_blocks(block, 0, nrows, [np.empty((max(nrows, 1), ncols), dt) for dt in dtypes])
         return
+    bufs = [np.empty((_BLOCK_ROWS, ncols), dt) for dt in dtypes]
     with borrow() as pool:
         if pool is None:
             _row_blocks(block, 0, nrows, bufs)
@@ -212,19 +213,22 @@ def _over_rows(block, nrows: int, *bufs: np.ndarray) -> None:
 def _row_log_deriv_sums(w: np.ndarray, poles: np.ndarray):
     """s1 = sum 1/(w - p) and s2 = sum 1/(w - p)^2 over ``poles`` at each w, by row reductions.
 
-    ``poles`` repeats each root of P by its multiplicity, so s1 = P'/P.
+    ``poles`` repeats each root of P by its multiplicity, so s1 = P'/P. The
+    work array has the dtype of ``w``, real for the real gap solver.
     """
     s1 = np.empty_like(w)
     s2 = np.empty_like(w)
 
     def block(lo, hi, inv):
-        np.subtract(w[lo:hi, None], poles, out=inv)
+        # fill, then subtract: the same bits, faster than a broadcast subtract
+        inv[:] = w[lo:hi, None]
+        np.subtract(inv, poles, out=inv)
         np.reciprocal(inv, out=inv)
         np.add.reduce(inv, axis=1, out=s1[lo:hi])
         np.square(inv, out=inv)
         np.add.reduce(inv, axis=1, out=s2[lo:hi])
 
-    _over_rows(block, w.size, np.empty((_BLOCK_ROWS, poles.size), dtype=complex))
+    _over_rows(block, w.size, poles.size, w.dtype)
     return s1, s2
 
 
@@ -238,8 +242,7 @@ def _row_abs_sums(w: np.ndarray, poles: np.ndarray) -> np.ndarray:
         np.reciprocal(inv, out=inv)
         np.add.reduce(inv, axis=1, out=out[lo:hi])
 
-    _over_rows(block, w.size, np.empty((_BLOCK_ROWS, poles.size), dtype=complex),
-               np.empty((_BLOCK_ROWS, poles.size)))
+    _over_rows(block, w.size, poles.size, complex, float)
     return out
 
 
@@ -255,7 +258,7 @@ def _row_repulsion(w: np.ndarray, fixed: np.ndarray) -> np.ndarray:
         np.reciprocal(inv, out=inv)
         np.add.reduce(inv, axis=1, out=out[lo:hi])
 
-    _over_rows(block, w.size, np.empty((_BLOCK_ROWS, poles.size), dtype=complex))
+    _over_rows(block, w.size, poles.size, complex)
     return out
 
 
@@ -297,8 +300,7 @@ def _row_nearest(w: np.ndarray, rows: np.ndarray, poles: np.ndarray) -> np.ndarr
         dist[np.arange(hi - lo), rows[lo:hi]] = np.inf
         np.minimum.reduce(dist, axis=1, out=out[lo:hi])
 
-    _over_rows(block, rows.size, np.empty((_BLOCK_ROWS, poles.size), dtype=complex),
-               np.empty((_BLOCK_ROWS, poles.size)))
+    _over_rows(block, rows.size, poles.size, complex, float)
     return out
 
 
@@ -423,50 +425,55 @@ def critical_points(p: RootPoly, *, max_iter: int = MAX_ITER) -> RootFindReport:
 def _gap_zeros(values: np.ndarray, counts: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     """Zero of g(x) = sum(counts_j/(x - values_j)) inside each requested gap.
 
-    ``gaps`` holds indices g, meaning the open interval (values[g], values[g+1]).
-    g falls strictly from +inf to -inf there and g' = -sum(counts_j/(x - values_j)^2)
-    is known, so this is safeguarded Newton (``rtsafe``, Numerical Recipes 9.4):
-    each gap keeps a bracket updated from the sign of g at every evaluated
-    point, takes the Newton iterate only when it lies strictly inside the
-    bracket and shrinks faster than half the step before last, and bisects
-    otherwise. Every result stays strictly inside its gap, so it interlaces
-    the roots exactly. A gap stops once its Newton step or bracket width is at
-    most 4 eps max(1, |lo|, |hi|); stopped gaps leave the sweep. Raises
+    ``gaps`` holds indices k, meaning the open interval (values[k], values[k+1]),
+    where g falls strictly from +inf to -inf. Each sweep takes g and s2 = -g'
+    from the row kernel and steps by R.-C. Li's fixed-weight rational model
+    (LAPACK Working Note 89, 1994; dlaed4's middle root): the nearer pole of
+    the gap keeps its weight, and the farther pole's weight and a constant
+    are fitted to g and g' at x. A step that is not finite or points away
+    from the zero becomes the Newton step g/s2. Each gap keeps a bracket
+    updated from the sign of g at every evaluated point and bisects when the
+    step leaves it, so every result lies strictly inside its gap. A gap stops
+    once its step or bracket width is at most 4 eps max(|lo|, |hi|), or no
+    double lies inside the bracket, and leaves the sweep; the rules are
+    relative, so scaling the roots by 2^k scales the results exactly. Raises
     NoConvergence if any gap is still open after MAX_ITER sweeps.
     """
-    lo = values[gaps].astype(float)
-    hi = values[gaps + 1].astype(float)
-    cnt = counts.astype(float)
-    eps = np.finfo(float).eps
-    out = np.empty(gaps.size)
-    pos = np.arange(gaps.size)
-    x = 0.5 * (lo + hi)
-    step = prev = hi - lo
-    for _ in range(MAX_ITER):
-        g, s2 = _log_deriv_sums(x, values, cnt)
-        right = g > 0
-        lo = np.where(right, x, lo)
-        hi = np.where(right, hi, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = g / s2  # -g/g'
-        tol = 4.0 * eps * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-        # g == 0 gives a zero step; the step test comes before the bracket test,
-        # since a last Newton step may round onto the bracket's end
-        done = (np.abs(newton) <= tol) | (hi - lo <= tol)
-        if done.any():
-            xn = x[done] + newton[done]
-            inside = (lo[done] < xn) & (xn < hi[done])
-            out[pos[done]] = np.where(inside, xn, x[done])
-            keep = ~done
-            x, lo, hi, newton, step, prev, pos = (
-                a[keep] for a in (x, lo, hi, newton, step, prev, pos))
-            if not pos.size:
-                return out
-        xn = x + newton
-        take = (lo < xn) & (xn < hi) & (2.0 * np.abs(newton) <= np.abs(prev))
-        prev = step
-        step = np.where(take, newton, 0.5 * (hi - lo))
-        x = np.where(take, xn, 0.5 * (lo + hi))
+    poles = np.repeat(values, counts).astype(float)
+    # the gap's own poles and their weights; lo and hi are its bracket
+    d_lo = lo = values[gaps].astype(float)
+    d_hi = hi = values[gaps + 1].astype(float)
+    c_lo, c_hi = counts[gaps].astype(float), counts[gaps + 1].astype(float)
+    out, pos, x = np.empty(gaps.size), np.arange(gaps.size), 0.5 * (lo + hi)
+    # the model overflows only where its step gives way to Newton's
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(MAX_ITER):
+            g, s2 = _row_log_deriv_sums(x, poles)
+            right = g > 0
+            lo, hi = np.where(right, x, lo), np.where(right, hi, x)
+            w, dl, dh = -g, d_lo - x, d_hi - x
+            span, prod = dl + dh, dl * dh
+            low = span > 0
+            near, far = np.where(low, dl, dh), np.where(low, dh, dl)
+            c = w - far * s2 - (near - far) * np.where(low, c_lo, c_hi) / (near * near)
+            a = span * w - prod * s2
+            b = prod * w
+            root = np.sqrt(np.abs(a * a - 4.0 * b * c))
+            eta = np.where(a <= 0, (a - root) / (2.0 * c), 2.0 * b / (a + root))
+            eta = np.where(np.isfinite(eta) & (g * eta > 0), eta, g / s2)
+            xn = x + eta
+            inside = (lo < xn) & (xn < hi)
+            # the step test comes before the bracket test, since a last step may
+            # round onto the bracket's end; nextafter ends a zero at 0
+            tol = 4.0 * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
+            done = (np.abs(eta) <= tol) | (hi - lo <= tol) | (np.nextafter(lo, hi) >= hi)
+            if done.any():
+                out[pos[done]] = np.where(inside, xn, x)[done]
+                if done.all():
+                    return out
+                x, xn, inside, lo, hi, d_lo, d_hi, c_lo, c_hi, pos = (
+                    v[~done] for v in (x, xn, inside, lo, hi, d_lo, d_hi, c_lo, c_hi, pos))
+            x = np.where(inside, xn, 0.5 * (lo + hi))
     raise NoConvergence(f"{pos.size} interlacing gaps still open after {MAX_ITER} sweeps")
 
 
@@ -483,11 +490,11 @@ def _distinct_sorted(sorted_real_roots):
 
 
 def real_interlaced_critical_points(sorted_real_roots) -> np.ndarray:
-    """Critical points of prod(z - x_k) for sorted real roots, by safeguarded Newton.
+    """Critical points of prod(z - x_k) for sorted real roots, by a bracketed secular solve.
 
     Repeated roots (exact equality) are emitted directly with multiplicity
-    one less; one bracketed Newton solve runs per gap between consecutive
-    distinct roots. Output is sorted and has length n-1.
+    one less; one bracketed solve (``_gap_zeros``) runs per gap between
+    consecutive distinct roots. Output is sorted and has length n-1.
     """
     values, counts = _distinct_sorted(sorted_real_roots)
     fixed = np.repeat(values, counts - 1)

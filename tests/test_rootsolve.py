@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -275,6 +276,24 @@ class TestRowThreads:
         np.testing.assert_array_equal(reps[0].residuals, reps[1].residuals)
         assert reps[0].iterations == reps[1].iterations
 
+    def test_thread_count_does_not_change_real_gap_zeros(self, threads, monkeypatch):
+        names = set()
+        blocks = rootsolve._row_blocks
+
+        def recorded(*args):
+            names.add(threading.current_thread().name)
+            return blocks(*args)
+
+        monkeypatch.setattr(rootsolve, "_row_blocks", recorded)
+        x = np.sort(np.random.default_rng(4).exponential(size=2000))
+        etas = []
+        for count in (1, 2):
+            threads(count)
+            names.clear()
+            etas.append(real_interlaced_critical_points(x))
+        np.testing.assert_array_equal(etas[0], etas[1])
+        assert any(name.startswith("spectralab-compute") for name in names)
+
     def test_small_degrees_start_no_pool(self, threads, monkeypatch):
         threads(2)
         monkeypatch.setattr(compute._THREADS, "executor", None)
@@ -409,8 +428,8 @@ class TestGapZeros:
         assert np.all((values[:-1] < eta) & (eta < values[1:]))
 
     def test_narrow_gap_near_a_small_root_is_solved_to_ulps(self):
-        # the stop tolerance is absolute below 1, but the last Newton step still
-        # lands within ulps of the zero, so eta - x_min keeps its digits
+        # the stop tolerance is relative to the bracket, so the zero just
+        # above a small root is found within ulps and eta - x_min keeps its digits
         rng = np.random.default_rng(4)
         x = np.sort(np.concatenate([[3.7e-4, 3.7e-4 + 1e-8],
                                     3.7e-4 + rng.exponential(size=200)]))
@@ -420,16 +439,24 @@ class TestGapZeros:
 
     def test_sweep_budget(self, monkeypatch):
         calls = []
-        sums = rootsolve._log_deriv_sums
+        sums = rootsolve._row_log_deriv_sums
 
         def counted(*args):
             calls.append(1)
             return sums(*args)
 
-        monkeypatch.setattr(rootsolve, "_log_deriv_sums", counted)
+        monkeypatch.setattr(rootsolve, "_row_log_deriv_sums", counted)
         x = np.sort(np.random.default_rng(4).exponential(size=2000))
         assert real_interlaced_critical_points(x).size == 1999
-        assert 1 <= len(calls) <= 25
+        assert 1 <= len(calls) <= 10
+
+    @pytest.mark.parametrize("k", [-60, -40, -20, 20, 60])
+    def test_power_of_two_scaling_is_exact(self, k):
+        # every stop rule is relative, so scaling the roots by 2^k scales each
+        # operation of the solve exactly, down to gaps far narrower than 1e-15
+        x = np.sort(np.random.default_rng(4).exponential(size=200))
+        np.testing.assert_array_equal(real_interlaced_critical_points(np.ldexp(x, k)),
+                                      np.ldexp(real_interlaced_critical_points(x), k))
 
     def test_unconverged_gap_raises(self, monkeypatch):
         monkeypatch.setattr(rootsolve, "MAX_ITER", 3)
