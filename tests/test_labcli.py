@@ -478,10 +478,10 @@ class TestCli:
         ("walsh-clusters", ["k=0"]),
         ("ginibre-intensity", ["r_lo=0.9", "r_hi=0.2"]),
         ("poisson-limit", ["r_lo=3", "r_hi=1"]),
-        ("poisson-limit", ["r_lo=0"]),
         ("walsh-clusters", ["radius=-1"]),
         ("walsh-clusters", ["eps=0"]),
         ("walsh-clusters", ["eps=20"]),
+        ("poisson-limit", ["r_lo=0"]),
     ])
     def test_refused_param_values_exit_2(self, name, params, tmp_path):
         args = ["run", "--experiment", name, "--trials", "1", "--out", str(tmp_path / "x")]
