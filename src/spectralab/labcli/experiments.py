@@ -25,8 +25,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaincc
 
 from .. import compute
 from ..errors import BadParams, HypothesisViolated, NumericalError, UnknownExperiment
@@ -145,6 +143,9 @@ def _expected_count(n: int, u_lo: float, u_hi: float) -> float:
     The radial intensity integrates to int gammaincc(n, u) du. Radius r of
     the n-th-power spectrum maps to u = n r^(2/n).
     """
+    from scipy.integrate import quad
+    from scipy.special import gammaincc
+
     val, _ = quad(lambda u: gammaincc(n, u), u_lo, u_hi)
     return float(val)
 
@@ -299,7 +300,7 @@ def _ginibre_intensity_summary(params, rows, extras):
 def _ginibre_intensity_files(params):
     n = params["n"]
     table_r = np.linspace(0.01, 1.25, 125)
-    table_rho = [n * ginibre_intensity(n, math.sqrt(n) * r) for r in table_r]
+    table_rho = n * ginibre_intensity(n, math.sqrt(n) * table_r)
     return {"intensity.csv": _intensity_table(table_r, table_rho)}
 
 
@@ -334,7 +335,7 @@ def _poisson_limit_check(params):
 def _poisson_limit_files(params):
     table_r = np.linspace(0.5 * params["r_lo"], 2.0 * params["r_hi"], 121)
     return {"intensity.csv": _intensity_table(
-        table_r, [power_intensity(params["n"], r) for r in table_r])}
+        table_r, power_intensity(params["n"], table_r))}
 
 
 # --- spherical-count -------------------------------------------------------

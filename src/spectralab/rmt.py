@@ -6,6 +6,9 @@ with deflation) and every returned spectrum carries a verified eigenpair
 residual. Kernel and intensity evaluations are organized around Poisson
 probabilities computed in log space, so they stay finite far beyond the
 range where the raw series would overflow.
+
+scipy is imported on first call, not with this module: scipy.special by
+the Poisson helpers, scipy.linalg by ``generalized_schur``.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.special import gammaln, logsumexp
 
 from .errors import (
     DegenerateSpectrum,
@@ -115,39 +116,50 @@ def ginibre_kernel(n: int, z: complex, w: complex) -> complex:
     return complex(total)
 
 
-def _poisson_log_pmf(lam: float, k: np.ndarray) -> np.ndarray:
-    """log P(Poisson(lam) = k) for lam > 0."""
-    return -lam + k * math.log(lam) - gammaln(k + 1)
+def _poisson_log_pmf(lams, k: np.ndarray) -> np.ndarray:
+    """log P(Poisson(lam) = k), one row per rate lam > 0 in ``lams``."""
+    from scipy.special import gammaln
+
+    lam = np.array(lams, dtype=float)[:, None]
+    return -lam + k * np.array([[math.log(v)] for v in lam[:, 0].tolist()]) - gammaln(k + 1)
 
 
-def _poisson_log_cdf(lam: float, kmax: int) -> float:
-    """log P(Poisson(lam) <= kmax), computed in log space."""
-    if kmax < 0:
-        return -math.inf
-    return float(logsumexp(_poisson_log_pmf(lam, np.arange(kmax + 1)))) if lam > 0 else 0.0
+def _poisson_log_cdf(lams, kmax: int) -> np.ndarray:
+    """log P(Poisson(lam) <= kmax) for each rate lam >= 0, from one row-wise logsumexp."""
+    from scipy.special import logsumexp
+
+    lam = np.array(lams, dtype=float)
+    out = np.full(lam.size, 0.0 if kmax >= 0 else -math.inf)
+    if kmax >= 0 and np.any(lam > 0):
+        out[lam > 0] = logsumexp(_poisson_log_pmf(lam[lam > 0], np.arange(kmax + 1)), axis=1)
+    return out
 
 
-def ginibre_intensity(n: int, z: complex) -> float:
+def ginibre_intensity(n: int, z):
     """1-point eigenvalue intensity (1/pi) e^{-|z|^2} sum_{k<n} |z|^{2k}/k!.
 
     Equals (1/pi) P(Poisson(|z|^2) <= n-1); tends to 1/pi inside the bulk.
+    For an array z the result is an array shaped like z, from one logsumexp
+    call, each value bit-identical to the scalar call's float.
     """
-    s = abs(complex(z)) ** 2
-    return math.exp(_poisson_log_cdf(s, n - 1)) / math.pi
+    s = [abs(complex(v)) ** 2 for v in np.ravel(z).tolist()]
+    rho = [math.exp(c) / math.pi for c in _poisson_log_cdf(s, n - 1).tolist()]
+    return rho[0] if np.ndim(z) == 0 else np.array(rho).reshape(np.shape(z))
 
 
-def power_intensity(n: int, z: complex) -> float:
+def power_intensity(n: int, z):
     """Intensity of the n-th-power spectrum at z.
 
     (1/(pi |z|^{2-2/n})) P(Poisson(n |z|^{2/n}) <= n-1); as n grows this
-    approaches 1/(2 pi |z|^2) away from the origin.
+    approaches 1/(2 pi |z|^2) away from the origin. z is a point or an array
+    of points, as in ``ginibre_intensity``; ZeroPoint if any point is 0.
     """
-    r = abs(complex(z))
-    if r == 0:
+    r = [abs(complex(v)) for v in np.ravel(z).tolist()]
+    if 0.0 in r:
         raise ZeroPoint("intensity is not defined at the origin")
-    lam = n * r ** (2.0 / n)
-    log_cdf = _poisson_log_cdf(lam, n - 1)
-    return math.exp(log_cdf - (2.0 - 2.0 / n) * math.log(r)) / math.pi
+    log_cdf = _poisson_log_cdf([n * v ** (2.0 / n) for v in r], n - 1).tolist()
+    rho = [math.exp(c - (2.0 - 2.0 / n) * math.log(v)) / math.pi for c, v in zip(log_cdf, r)]
+    return rho[0] if np.ndim(z) == 0 else np.array(rho).reshape(np.shape(z))
 
 
 def power_spectrum_sample(rng, n: int) -> SpectrumSample:
@@ -169,14 +181,15 @@ def cross_term(n: int, z1: complex, z2: complex) -> float:
     (1/(pi^2 (r1 r2)^{2-2/n})) sum_{l<n} pmf(n r1^{2/n}, l) pmf(n r2^{2/n}, l);
     its decay in n is what makes the limiting counts independent.
     """
+    from scipy.special import logsumexp
+
     r1 = abs(complex(z1))
     r2 = abs(complex(z2))
     if r1 == 0 or r2 == 0:
         raise ZeroPoint("cross term is not defined at the origin")
     lam1 = n * r1 ** (2.0 / n)
     lam2 = n * r2 ** (2.0 / n)
-    k = np.arange(n)
-    log_sum = float(logsumexp(_poisson_log_pmf(lam1, k) + _poisson_log_pmf(lam2, k)))
+    log_sum = float(logsumexp(_poisson_log_pmf([lam1, lam2], np.arange(n)).sum(axis=0)))
     log_pref = -(2.0 - 2.0 / n) * (math.log(r1) + math.log(r2))
     return math.exp(log_sum + log_pref) / (math.pi ** 2)
 
@@ -216,6 +229,8 @@ def generalized_schur(chain: Sequence[np.ndarray]) -> SchurChain:
     non-negative real diagonal. The last factor closes the cycle with U_1 and
     is upper triangular automatically (up to roundoff, which is checked).
     """
+    import scipy.linalg
+
     mats = [_require_square(a) for a in chain]
     if len(mats) < 1:
         raise WrongSize("need at least one matrix")

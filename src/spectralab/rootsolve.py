@@ -435,14 +435,19 @@ def _gap_zeros(values: np.ndarray, counts: np.ndarray, gaps: np.ndarray) -> np.n
     updated from the sign of g at every evaluated point and bisects when the
     step leaves it, so every result lies strictly inside its gap. A gap stops
     once its step or bracket width is at most 4 eps max(|lo|, |hi|), or no
-    double lies inside the bracket, and leaves the sweep; the rules are
-    relative, so scaling the roots by 2^k scales the results exactly. Raises
-    NoConvergence if any gap is still open after MAX_ITER sweeps.
+    double lies inside the bracket, and leaves the sweep. The rules are
+    relative, and the roots are scaled by the power of two that puts max|root|
+    in [0.5, 1), or the nearest that keeps normal roots normal and all finite,
+    so results scale exactly with the roots and s2 does not overflow on tiny
+    roots. Raises NoConvergence if any gap is still open after MAX_ITER sweeps.
     """
-    poles = np.repeat(values, counts).astype(float)
+    mags = np.abs(values[values != 0])
+    scale = min(math.frexp(mags.max())[1], max(math.frexp(mags.min())[1] + 1021, 0))
+    values = np.ldexp(values, -scale)
+    poles = np.repeat(values, counts)
     # the gap's own poles and their weights; lo and hi are its bracket
-    d_lo = lo = values[gaps].astype(float)
-    d_hi = hi = values[gaps + 1].astype(float)
+    d_lo = lo = values[gaps]
+    d_hi = hi = values[gaps + 1]
     c_lo, c_hi = counts[gaps].astype(float), counts[gaps + 1].astype(float)
     out, pos, x = np.empty(gaps.size), np.arange(gaps.size), 0.5 * (lo + hi)
     # the model overflows only where its step gives way to Newton's
@@ -470,7 +475,7 @@ def _gap_zeros(values: np.ndarray, counts: np.ndarray, gaps: np.ndarray) -> np.n
             if done.any():
                 out[pos[done]] = np.where(inside, xn, x)[done]
                 if done.all():
-                    return out
+                    return np.ldexp(out, scale)
                 x, xn, inside, lo, hi, d_lo, d_hi, c_lo, c_hi, pos = (
                     v[~done] for v in (x, xn, inside, lo, hi, d_lo, d_hi, c_lo, c_hi, pos))
             x = np.where(inside, xn, 0.5 * (lo + hi))

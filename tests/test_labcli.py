@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +177,32 @@ class TestPinnedOutputs:
             "summary.json": "e9fa7e2ea9ad2f46d35a7f00d15c80eafd3eb811d827f245de030c92aabc5372",
             "trials.csv": "fa5b71c14f58416139cd8f507b8fa09e1e25e4e867d4e39226854a09139b5052",
         }
+
+
+class TestLazyScipy:
+    def test_only_intensity_experiments_load_scipy_submodules(self):
+        # scipy.special, scipy.integrate and scipy.linalg are imported where
+        # they are called; the two intensity experiments are the only callers
+        script = textwrap.dedent(f"""
+            import sys
+            import spectralab, spectralab.labcli
+            from spectralab.labcli import ExperimentConfig, run_experiment
+
+            small = {SMALL_PARAMS!r}
+            lazy = ("scipy.special", "scipy.integrate", "scipy.linalg")
+            for name in sorted(small.keys() - {{"ginibre-intensity", "poisson-limit"}}):
+                run_experiment(ExperimentConfig(name, 7, 1, small[name]))
+                loaded = [m for m in lazy if m in sys.modules]
+                assert not loaded, (name, loaded)
+            run_experiment(ExperimentConfig("ginibre-intensity", 7, 1, small["ginibre-intensity"]))
+            assert "scipy.special" in sys.modules
+        """)
+        src = str(Path(__file__).parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestRegistry:

@@ -111,6 +111,15 @@ class TestKernelIntensity:
             z = complex(rng.normal() * 3, rng.normal() * 3)
             assert ginibre_intensity(int(rng.integers(1, 64)), z) >= 0.0
 
+    @pytest.mark.parametrize("n", [1, 10, 64, 400])
+    def test_array_matches_scalar_bitwise(self, n):
+        zs = np.concatenate([[0.0], np.linspace(0.01, 1.25, 125) * math.sqrt(n),
+                             np.linspace(0.1, 30.0, 40) * np.exp(0.7j)])
+        got = ginibre_intensity(n, zs)
+        assert isinstance(got, np.ndarray) and got.shape == zs.shape
+        assert got.tolist() == [ginibre_intensity(n, z) for z in zs]
+        assert type(ginibre_intensity(n, zs[1])) is float
+
 
 class TestPowerIntensity:
     def test_single_matrix(self):
@@ -127,6 +136,18 @@ class TestPowerIntensity:
     def test_origin_refused(self):
         with pytest.raises(ZeroPoint):
             power_intensity(5, 0.0)
+
+    @pytest.mark.parametrize("n", [1, 10, 64, 400])
+    def test_array_matches_scalar_bitwise(self, n):
+        zs = np.concatenate([np.linspace(0.5, 2.0 * math.e, 121), [1e-3, 50.0, 3j - 4]])
+        got = power_intensity(n, zs)
+        assert isinstance(got, np.ndarray) and got.shape == zs.shape
+        assert got.tolist() == [power_intensity(n, z) for z in zs]
+        assert type(power_intensity(n, zs[0])) is float
+
+    def test_origin_in_array_refused(self):
+        with pytest.raises(ZeroPoint):
+            power_intensity(5, np.array([1.0, 0.0, 2.0]))
 
 
 class TestPowerSpectrum:

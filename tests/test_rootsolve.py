@@ -450,13 +450,21 @@ class TestGapZeros:
         assert real_interlaced_critical_points(x).size == 1999
         assert 1 <= len(calls) <= 10
 
-    @pytest.mark.parametrize("k", [-60, -40, -20, 20, 60])
+    @pytest.mark.parametrize("k", [-60, -40, -20, 20, 60, -1000, -700, 900])
     def test_power_of_two_scaling_is_exact(self, k):
-        # every stop rule is relative, so scaling the roots by 2^k scales each
-        # operation of the solve exactly, down to gaps far narrower than 1e-15
+        # every stop rule is relative and the solve runs at max|root| in
+        # [0.5, 1), so scaling the roots by 2^k scales the results exactly,
+        # down to gaps far narrower than 1e-15 and where s2 would overflow
         x = np.sort(np.random.default_rng(4).exponential(size=200))
         np.testing.assert_array_equal(real_interlaced_critical_points(np.ldexp(x, k)),
                                       np.ldexp(real_interlaced_critical_points(x), k))
+
+    def test_roots_spanning_beyond_the_normal_range_stay_inside_their_gaps(self):
+        # putting max|root| in [0.5, 1) would make 1e-300 subnormal and land
+        # the first critical point on a root; the scale stops short of that
+        got = real_interlaced_critical_points(np.array([1e-300, 2e-300, 1e10]))
+        assert 1e-300 < got[0] < 2e-300
+        assert got[0] == pytest.approx(1.5e-300, rel=1e-15, abs=0.0)
 
     def test_unconverged_gap_raises(self, monkeypatch):
         monkeypatch.setattr(rootsolve, "MAX_ITER", 3)
