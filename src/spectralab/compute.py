@@ -13,8 +13,9 @@ While ``map_two`` runs, numpy's and scipy's bundled OpenBLAS copies are held
 at one thread each, then set back: OpenBLAS's own workers spin after a call
 and take the second core, so without the hold two trial threads are no
 faster than one. The libraries are looked up on first use; if one or a
-symbol is missing, the trials run serially. A forked child gets one compute
-thread and one BLAS thread per copy, so worker processes use one core each.
+symbol is missing, the trials run serially. A child forked from the process
+(by any caller) gets one compute thread and one BLAS thread per copy: it has
+none of the parent's threads, so a row kernel there must not wait on them.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ def _on_two_threads(fn, n: int, pool) -> list:
 
 def _after_fork_in_child():
     # the child has none of the parent's threads: one compute thread, and
-    # one BLAS thread per copy, so each worker process uses one core
+    # one BLAS thread per copy, so the child uses one core
     _THREADS.count, _THREADS.executor, _THREADS.lock = 1, None, threading.Lock()
     for _, set_ in _openblas() or ():
         set_(1)

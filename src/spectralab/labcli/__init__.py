@@ -4,7 +4,8 @@ Every registered experiment is an ``ExperimentDef`` in experiments.py: a
 trial function that returns one trials.csv row plus named extras from its
 own stream, a summary function over all rows and extras, and optional extra
 tables. ``run_experiment`` is the one runner: it builds the streams, runs
-the trials (in a bounded process pool when asked) and writes every file.
+the trials in this process (two at a time on the compute threads when they
+are LAPACK-bound) and writes every file.
 """
 
 from .experiments import (

@@ -16,7 +16,7 @@ from .experiments import EXPERIMENTS, ExperimentConfig, run_experiment
 
 DEFAULT_SEED = 42
 # config-file keys that are run settings, not experiment parameters
-_RUN_KEYS = ("experiment", "seed", "trials", "out", "workers")
+_RUN_KEYS = ("experiment", "seed", "trials", "out")
 
 
 def _default_seed() -> int:
@@ -73,8 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="experiment parameter (repeatable)")
     run.add_argument("--config", help="flat key=value config file")
     run.add_argument("--out", default=None, help="output directory")
-    run.add_argument("--workers", type=int, default=None,
-                     help="worker processes (default 1)")
     run.add_argument("--svg", action="store_true", help="also write scatter.svg")
 
     sub.add_parser("list", help="list registered experiments")
@@ -96,7 +94,6 @@ def _cmd_run(args) -> int:
         seed = _default_seed()
     trials = _int_setting(args.trials, file_cfg, "trials", 10)
     out_dir = args.out or file_cfg.get("out") or f"spectra-out/{name}"
-    workers = _int_setting(args.workers, file_cfg, "workers", 1)
 
     for item in args.param:
         if "=" not in item:
@@ -107,7 +104,7 @@ def _cmd_run(args) -> int:
         params["svg"] = 1
 
     cfg = ExperimentConfig(name=name, seed=seed, trials=trials, params=params,
-                           output_dir=Path(out_dir), workers=workers)
+                           output_dir=Path(out_dir))
     payload = run_experiment(cfg)
     print(f"{name}: seed={seed} trials={trials} -> {out_dir}")
     for key, value in payload["summary"].items():
@@ -126,9 +123,6 @@ def _cmd_verify(args) -> int:
     candidates = []
     if args.tests:
         candidates.append(Path(args.tests))
-    env = os.environ.get("SPECTRA_TESTS")
-    if env:
-        candidates.append(Path(env))
     candidates.append(Path.cwd() / "tests" / "test_acceptance.py")
     target = next((c for c in candidates if c.exists()), None)
     if target is None:

@@ -1,14 +1,14 @@
 """Registered experiments: seeded execution, per-trial CSV, summary JSON.
 
 Every experiment draws trial t from the stream (seed, hash(name) xor t), so
-single trials are reproducible in isolation and worker pools cannot change
-results, only wall time. Rows are written in trial order with repr-formatted
-floats: identical configurations produce byte-identical CSV.
+single trials are reproducible in isolation and the trial threads cannot
+change results, only wall time. Rows are written in trial order with
+repr-formatted floats: identical configurations produce byte-identical CSV.
 
 An experiment is an ExperimentDef: a trial function, a summary function and
 optional extra tables. The one runner, ``run_experiment``, owns the streams,
-the worker pool or trial threads and every output file; each trial draws
-from its stream once.
+the trial threads and every output file; each trial draws from its stream
+once.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -86,7 +84,6 @@ class ExperimentConfig:
     trials: int
     params: dict = field(default_factory=dict)
     output_dir: Path | None = None
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -111,13 +108,13 @@ class ExperimentDef:
     param_spec maps each parameter to (type, default) or (type, default,
     least): an int below its least value, or a point list with an entry
     below it, is refused. check(params) raises BadParams for the other
-    values no trial can run with. The runner applies both before it starts
-    any trial or worker pool.
+    values no trial can run with. The runner applies both, and refuses a
+    non-finite float parameter, before it starts any trial.
     files(params) -> {file name: text}. scatter_radius(params) clips trial
     0's spectrum for scatter.svg; without it svg=1 writes no scatter.
     lapack_bound marks trials that spend their time inside LAPACK, which
-    releases the GIL: with one worker the runner runs them two at a time on
-    the process's compute threads (``compute.map_two``).
+    releases the GIL: the runner runs them two at a time on the process's
+    compute threads (``compute.map_two``).
     """
 
     name: str
@@ -157,6 +154,11 @@ def _intensity_table(radii, values) -> str:
 
 
 # --- exp-spacing -----------------------------------------------------------
+
+def _exp_spacing_check(params):
+    if not params["rate"] > 0:
+        raise BadParams("rate must be > 0")
+
 
 def _exp_spacing_trial(stream, params):
     x = sample_exponential(stream, params["n"], params["rate"])
@@ -529,6 +531,7 @@ EXPERIMENTS = {edef.name: edef for edef in (
         ("trial", "n", "seed", "left_stat", "right_stat", "d1", "mean_roots"),
         dict(n=(int, 2000, 3), rate=(float, 1.0)),
         _exp_spacing_trial, _exp_spacing_summary,
+        check=_exp_spacing_check,
     ),
     ExperimentDef(
         "matching-lln",
@@ -633,6 +636,8 @@ def _coerce_params(edef: ExperimentDef, raw: dict) -> dict:
             out[key] = caster(value)
         except (TypeError, ValueError) as exc:
             raise BadParams(f"parameter {key!r}: cannot convert {value!r}") from exc
+        if caster is float and not math.isfinite(out[key]):
+            raise BadParams(f"parameter {key!r} must be finite, got {value!r}")
     for key, (_, _, *least) in spec.items():
         # the least value of a point list bounds each of its entries
         vals = _parse_int_list(out[key]) if key == edef.points else (out[key],)
@@ -650,15 +655,14 @@ def _format_cell(value) -> str:
 
 
 def _run_trial(name, seed, trials, params, t, point):
-    """Row t of experiment ``name`` on its own stream; runs in workers too."""
+    """Row t of experiment ``name`` on its own stream; runs on either compute thread."""
     edef = EXPERIMENTS[name]
     stream = RngStream(seed, stream_id_for(name, t))
     args = (stream, params) if point is None else (stream, params, point, trials)
     try:
         row, extras = edef.trial(*args)
     except NumericalError as exc:
-        # same type, plus what it takes to replay the trial on its own stream;
-        # the record survives the trip back from a worker process
+        # same type, plus what it takes to replay the trial on its own stream
         err = type(exc)(f"{name} trial {t} (seed {seed}, stream_id "
                         f"{stream.stream_id}): {exc}")
         err.failure = {"experiment": name, "params": params, "seed": seed, "trial": t,
@@ -671,18 +675,18 @@ def _run_trial(name, seed, trials, params, t, point):
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute a registered experiment and write trials.csv plus summary.json.
 
-    Returns the summary payload. Identical configs produce byte-identical
-    CSV files regardless of worker or thread count. When a trial raises a
-    NumericalError, failure.json (experiment, params, seed, trial, stream_id,
-    error type and message) is written before the error propagates.
+    Returns the summary payload. Trials run in this process: two at a time
+    on the compute threads for ``lapack_bound`` experiments, serially for the
+    rest. Identical configs produce byte-identical CSV files regardless of
+    thread count. When a trial raises a NumericalError, failure.json
+    (experiment, params, seed, trial, stream_id, error type and message) is
+    written before the error propagates.
     """
     if cfg.name not in EXPERIMENTS:
         raise UnknownExperiment(
             f"{cfg.name!r}; known: {', '.join(sorted(EXPERIMENTS))}")
     if cfg.trials < 1:
         raise BadParams("trials must be >= 1")
-    if cfg.workers < 1:
-        raise BadParams("workers must be >= 1")
     edef = EXPERIMENTS[cfg.name]
     params = _coerce_params(edef, cfg.params)
     if edef.check is not None:
@@ -690,14 +694,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     points = _parse_int_list(params[edef.points]) if edef.points else [None] * cfg.trials
     t0 = time.perf_counter()
     call = partial(_run_trial, cfg.name, cfg.seed, cfg.trials, params)
-    # a process pool forks all its workers up front, so never ask for more
-    # than there are rows or cores
-    workers = min(cfg.workers, len(points), os.cpu_count() or 1)
     try:
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outs = list(pool.map(call, range(len(points)), points))
-        elif edef.lapack_bound:
+        if edef.lapack_bound:
             outs = compute.map_two(lambda t: call(t, points[t]), len(points))
         else:
             outs = [call(t, point) for t, point in enumerate(points)]

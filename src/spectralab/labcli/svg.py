@@ -11,29 +11,21 @@ _SIZE = 480.0
 _MARGIN_FRACTION = 0.05
 
 
-def emit_scatter_svg(points, path, axis: dict | None = None) -> None:
+def emit_scatter_svg(points, path) -> None:
     """Write a standalone SVG with one circle per point.
 
-    axis may fix {xmin, xmax, ymin, ymax}; missing bounds are auto-ranged
-    with a 5% margin. Output is byte-deterministic for identical input.
+    The axes span the points with a 5% margin. Output is byte-deterministic
+    for identical input.
     """
     pts = canonical_order(points)
     if pts.size == 0:
         raise EmptyMeasure("no points to plot")
-    axis = dict(axis or {})
-    xmin = axis.get("xmin")
-    xmax = axis.get("xmax")
-    ymin = axis.get("ymin")
-    ymax = axis.get("ymax")
-    if None in (xmin, xmax, ymin, ymax):
-        lox, hix = float(pts.real.min()), float(pts.real.max())
-        loy, hiy = float(pts.imag.min()), float(pts.imag.max())
-        mx = _MARGIN_FRACTION * max(hix - lox, 1e-9)
-        my = _MARGIN_FRACTION * max(hiy - loy, 1e-9)
-        xmin = lox - mx if xmin is None else xmin
-        xmax = hix + mx if xmax is None else xmax
-        ymin = loy - my if ymin is None else ymin
-        ymax = hiy + my if ymax is None else ymax
+    lox, hix = float(pts.real.min()), float(pts.real.max())
+    loy, hiy = float(pts.imag.min()), float(pts.imag.max())
+    mx = _MARGIN_FRACTION * max(hix - lox, 1e-9)
+    my = _MARGIN_FRACTION * max(hiy - loy, 1e-9)
+    xmin, xmax = lox - mx, hix + mx
+    ymin, ymax = loy - my, hiy + my
     sx = _SIZE / (xmax - xmin)
     sy = _SIZE / (ymax - ymin)
 

@@ -12,7 +12,7 @@ consistency, concentration functions).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -350,15 +350,7 @@ class PotentialDiagnostics:
     total_cells: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "a1_rate": self.a1_rate,
-            "a2_rate": self.a2_rate,
-            "a3_integral": self.a3_integral,
-            "evaluated_points": self.evaluated_points,
-            "skipped_points": self.skipped_points,
-            "skipped_cells": self.skipped_cells,
-            "total_cells": self.total_cells,
-        }
+        return asdict(self)
 
 
 def potential_diagnostics(w: WeightedLogDeriv, z_list, eps: float, r: float,

@@ -154,11 +154,12 @@ def _output_digests(out_dir: Path) -> dict:
 
 
 class TestPinnedOutputs:
-    @pytest.mark.parametrize("name,workers", [(name, 1) for name in sorted(ALL_NAMES)]
-                             + [("product-symmetry", 2)])
-    def test_output_files_are_pinned(self, name, workers, tmp_path):
+    # the ids keep the "-1" of the one-worker runs the digests were taken on
+    @pytest.mark.parametrize("name", sorted(ALL_NAMES),
+                             ids=[f"{name}-1" for name in sorted(ALL_NAMES)])
+    def test_output_files_are_pinned(self, name, tmp_path):
         params = {**SMALL_PARAMS[name], **PIN_EXTRA.get(name, {})}
-        run_experiment(ExperimentConfig(name, 7, 3, params, tmp_path, workers))
+        run_experiment(ExperimentConfig(name, 7, 3, params, tmp_path))
         assert _output_digests(tmp_path) == PINNED_DIGESTS[name]
 
     def test_thm1_diagnostics_at_n100_are_pinned(self, tmp_path):
@@ -172,11 +173,21 @@ class TestPinnedOutputs:
         # match as closely in rms; CHANGES.md has the comparison).
         params = {"n_small": 100, "n_large": 400, "n_proj": 64, "ref_points": 2048,
                   "diagnostics": 1, "grid_size": 96}
-        run_experiment(ExperimentConfig("thm1-convergence", 7, 3, params, tmp_path, 1))
+        run_experiment(ExperimentConfig("thm1-convergence", 7, 3, params, tmp_path))
         assert _output_digests(tmp_path) == {
             "summary.json": "e9fa7e2ea9ad2f46d35a7f00d15c80eafd3eb811d827f245de030c92aabc5372",
             "trials.csv": "fa5b71c14f58416139cd8f507b8fa09e1e25e4e867d4e39226854a09139b5052",
         }
+
+
+def run_fresh_python(script):
+    """Run script in a new interpreter that imports this checkout's spectralab."""
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestLazyScipy:
@@ -197,12 +208,7 @@ class TestLazyScipy:
             run_experiment(ExperimentConfig("ginibre-intensity", 7, 1, small["ginibre-intensity"]))
             assert "scipy.special" in sys.modules
         """)
-        src = str(Path(__file__).parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        run_fresh_python(script)
 
 
 class TestRegistry:
@@ -227,51 +233,23 @@ class TestRegistry:
         with pytest.raises(BadParams):
             run_experiment(ExperimentConfig("poisson-limit", 1, 0, {}, tmp_path))
 
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_workers_validated(self, workers, tmp_path):
-        with pytest.raises(BadParams, match="workers"):
-            run_experiment(ExperimentConfig("poisson-limit", 1, 1, {}, tmp_path, workers))
-
-
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
 
 class TestWorkerPool:
+    """There is no worker pool: every trial runs in the calling process."""
+
     @pytest.fixture
-    def pool_sizes(self, monkeypatch):
+    def trials_run(self, monkeypatch):
         import spectralab.labcli.experiments as expmod
 
-        monkeypatch.setattr(RecordingPool, "sizes", [])
-        monkeypatch.setattr(expmod, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        return RecordingPool.sizes
+        seen = []
+        run_trial = expmod._run_trial
 
-    @pytest.mark.parametrize("workers, trials, expected", [
-        (5000, 10, [4]),   # capped by the cores
-        (5000, 3, [3]),    # capped by the rows
-        (2, 10, [2]),
-        (1, 10, []),       # no pool at all
-        (5000, 1, []),
-    ])
-    def test_pool_is_bounded(self, pool_sizes, workers, trials, expected, tmp_path):
-        cfg = ExperimentConfig("matching-lln", 3, trials, {"n": 20}, tmp_path, workers)
-        run_experiment(cfg)
-        assert pool_sizes == expected
+        def recorded(*args):
+            seen.append(args)
+            return run_trial(*args)
+
+        monkeypatch.setattr(expmod, "_run_trial", recorded)
+        return seen
 
     @pytest.mark.parametrize("name, params", [
         ("ginibre-intensity", {"bins": 0}),
@@ -279,16 +257,36 @@ class TestWorkerPool:
         ("product-symmetry", {"pattern_b": "+x-"}),
         ("real-eig", {"entries": "uniform"}),
     ])
-    def test_bad_params_refused_before_the_pool(self, pool_sizes, name, params, tmp_path):
-        cfg = ExperimentConfig(name, 7, 4, params, tmp_path, 2)
+    def test_bad_params_refused_before_the_pool(self, trials_run, name, params, tmp_path):
         with pytest.raises(BadParams):
-            run_experiment(cfg)
-        assert pool_sizes == []
+            run_experiment(ExperimentConfig(name, 7, 4, params, tmp_path))
+        assert trials_run == []
 
-    def test_point_experiment_is_bounded_by_its_rows(self, pool_sizes, tmp_path):
-        cfg = ExperimentConfig("discrepancy", 3, 50, {"n_list": "8,16"}, tmp_path, 5000)
-        run_experiment(cfg)
-        assert pool_sizes == [2]
+    def test_workers_flag_is_refused(self, trials_run, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--experiment", "matching-lln", "--trials", "2",
+                  "--workers", "2", "--out", str(tmp_path)])
+        assert info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert trials_run == []
+
+    def test_workers_config_key_is_refused(self, trials_run, tmp_path, capsys):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("experiment=matching-lln\ntrials=2\nworkers=2\n")
+        assert main(["run", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+        assert "workers" in capsys.readouterr().err
+        assert trials_run == []
+        assert not (tmp_path / "o").exists()
+
+    def test_import_loads_no_process_pool(self):
+        script = textwrap.dedent("""
+            import sys
+            import spectralab, spectralab.labcli
+            loaded = [m for m in ("multiprocessing", "concurrent.futures.process")
+                      if m in sys.modules]
+            assert not loaded, loaded
+        """)
+        run_fresh_python(script)
 
 
 class TestSingleDraw:
@@ -338,27 +336,17 @@ class TestOutputs:
                 (tmp_path / sub / "trials.csv").read_bytes()).hexdigest())
         assert digests[0] == digests[1]
 
-    def test_worker_count_does_not_change_csv(self, tmp_path):
-        for sub, workers in (("w1", 1), ("w2", 2)):
-            cfg = ExperimentConfig("matching-lln", 3, 4, {"n": 20},
-                                   tmp_path / sub, workers=workers)
-            run_experiment(cfg)
-        assert (tmp_path / "w1" / "trials.csv").read_bytes() == \
-               (tmp_path / "w2" / "trials.csv").read_bytes()
-
     @pytest.mark.parametrize("name", sorted(ALL_NAMES))
     def test_thread_and_worker_counts_do_not_change_csv(self, name, monkeypatch, tmp_path):
+        # the name keeps its ids; trials run in one process, so only threads vary
         import spectralab.compute as compute
 
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # workers=2 forks on any machine
         outputs = set()
         for threads in (1, 2):
             monkeypatch.setattr(compute._THREADS, "count", threads)
-            for workers in (1, 2):
-                out = tmp_path / f"t{threads}w{workers}"
-                run_experiment(ExperimentConfig(name, 5, 4, dict(SMALL_PARAMS[name]), out,
-                                                workers))
-                outputs.add((out / "trials.csv").read_bytes())
+            out = tmp_path / f"t{threads}"
+            run_experiment(ExperimentConfig(name, 5, 4, dict(SMALL_PARAMS[name]), out))
+            outputs.add((out / "trials.csv").read_bytes())
         assert len(outputs) == 1
 
     def test_exp_spacing_summary_keys(self, tmp_path):
@@ -458,10 +446,9 @@ class TestScatterSvg:
         assert text.startswith("<?xml")
 
     def test_fixed_axis_and_determinism(self, tmp_path):
-        axis = {"xmin": -2.0, "xmax": 2.0, "ymin": -2.0, "ymax": 2.0}
         p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-        emit_scatter_svg([0.5 + 0.5j, -1.0], p1, axis)
-        emit_scatter_svg([0.5 + 0.5j, -1.0], p2, axis)
+        emit_scatter_svg([0.5 + 0.5j, -1.0], p1)
+        emit_scatter_svg([0.5 + 0.5j, -1.0], p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_svg_param_writes_file(self, tmp_path):
@@ -509,6 +496,11 @@ class TestCli:
         ("walsh-clusters", ["eps=0"]),
         ("walsh-clusters", ["eps=20"]),
         ("poisson-limit", ["r_lo=0"]),
+        ("exp-spacing", ["rate=-1"]),
+        ("exp-spacing", ["rate=0"]),
+        ("ginibre-intensity", ["r_hi=inf"]),
+        ("walsh-clusters", ["eps=nan"]),
+        ("discrepancy", ["C=nan"]),
     ])
     def test_refused_param_values_exit_2(self, name, params, tmp_path):
         args = ["run", "--experiment", name, "--trials", "1", "--out", str(tmp_path / "x")]
@@ -555,7 +547,7 @@ class TestCli:
 
         monkeypatch.setattr(expmod, "critical_points", fails_second)
         cfg = ExperimentConfig("walsh-clusters", 7, 3, {"n_per_cluster": 5},
-                               tmp_path / "w", workers=1)
+                               tmp_path / "w")
         with pytest.raises(NoConvergence) as info:
             run_experiment(cfg)
         message = str(info.value)
@@ -607,26 +599,26 @@ class TestCli:
 
     def test_flags_win_over_config_file(self, captured, tmp_path):
         cfgfile = tmp_path / "exp.cfg"
-        cfgfile.write_text("experiment=poisson-limit\nseed=5\ntrials=4\nworkers=3\n"
+        cfgfile.write_text("experiment=poisson-limit\nseed=5\ntrials=4\n"
                            f"out={tmp_path / 'file-out'}\nn=8\n")
         rc = main(["run", "--config", str(cfgfile), "--experiment", "discrepancy",
-                   "--seed", "9", "--trials", "2", "--workers", "1",
+                   "--seed", "9", "--trials", "2",
                    "--out", str(tmp_path / "flag-out"), "--param", "n=16"])
         assert rc == 0
         (cfg,) = captured
-        assert (cfg.name, cfg.seed, cfg.trials, cfg.workers) == ("discrepancy", 9, 2, 1)
+        assert (cfg.name, cfg.seed, cfg.trials) == ("discrepancy", 9, 2)
         assert cfg.output_dir == tmp_path / "flag-out"
         assert cfg.params == {"n": "16"}
 
     def test_config_file_run_settings(self, captured, tmp_path):
         cfgfile = tmp_path / "exp.cfg"
-        cfgfile.write_text("experiment=poisson-limit\nseed=5\ntrials=4\nworkers=2\nn=8\n")
+        cfgfile.write_text("experiment=poisson-limit\nseed=5\ntrials=4\nn=8\n")
         assert main(["run", "--config", str(cfgfile)]) == 0
         (cfg,) = captured
-        assert (cfg.name, cfg.seed, cfg.trials, cfg.workers) == ("poisson-limit", 5, 4, 2)
+        assert (cfg.name, cfg.seed, cfg.trials) == ("poisson-limit", 5, 4)
         assert cfg.params == {"n": "8"}
 
-    @pytest.mark.parametrize("key", ["seed", "trials", "workers"])
+    @pytest.mark.parametrize("key", ["seed", "trials"])
     def test_non_integer_config_value_exit_2(self, key, captured, tmp_path, capsys):
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text(f"experiment=poisson-limit\n{key}=x\n")
