@@ -48,6 +48,7 @@ from ..randgen import (
     two_sequence_pick,
 )
 from ..rmt import (
+    _expected_counts,
     eigenvalues,
     ginibre_intensity,
     power_intensity,
@@ -132,19 +133,6 @@ class ExperimentDef:
 
 def _column(rows, key) -> list:
     return [row[key] for row in rows]
-
-
-def _expected_count(n: int, u_lo: float, u_hi: float) -> float:
-    """Expected eigenvalue count of a variance-1/n Ginibre draw in u_lo <= n|z|^2 <= u_hi.
-
-    The radial intensity integrates to int gammaincc(n, u) du. Radius r of
-    the n-th-power spectrum maps to u = n r^(2/n).
-    """
-    from scipy.integrate import quad
-    from scipy.special import gammaincc
-
-    val, _ = quad(lambda u: gammaincc(n, u), u_lo, u_hi)
-    return float(val)
 
 
 def _intensity_table(radii, values) -> str:
@@ -288,8 +276,7 @@ def _ginibre_intensity_summary(params, rows, extras):
     mean_counts = np.array([np.mean(_column(rows, f"count_b{i}"))
                             for i in range(params["bins"])])
     n = params["n"]
-    expected = np.array([_expected_count(n, n * lo * lo, n * hi * hi)
-                         for lo, hi in zip(edges[:-1], edges[1:])])
+    expected = np.array(_expected_counts(n, [n * e * e for e in edges.tolist()]))
     rel_err = np.abs(mean_counts - expected) / expected
     return {
         "bin_edges": [float(e) for e in edges],
@@ -324,8 +311,8 @@ def _poisson_limit_summary(params, rows, extras):
         "mean_count": mean,
         "count_variance": var,
         "variance_over_mean": var / mean if mean else float("nan"),
-        "analytic_expected": _expected_count(
-            n, n * params["r_lo"] ** (2.0 / n), n * params["r_hi"] ** (2.0 / n)),
+        "analytic_expected": _expected_counts(
+            n, [n * params["r_lo"] ** (2.0 / n), n * params["r_hi"] ** (2.0 / n)])[0],
     }
 
 

@@ -3,12 +3,15 @@
 Matrices are plain numpy arrays (square, finite entries). The eigensolver
 contract is delegated to LAPACK (balance, Hessenberg reduction, shifted QR
 with deflation) and every returned spectrum carries a verified eigenpair
-residual. Kernel and intensity evaluations are organized around Poisson
-probabilities computed in log space, so they stay finite far beyond the
-range where the raw series would overflow.
+residual. Intensities are Poisson tail probabilities. Each is summed over
+a window of counts about the Poisson mode, built from the mode outward by
+term ratios and normalised by the window's mass, so it stays finite far
+beyond the range where the raw series would overflow, with no scipy. The
+expected eigenvalue count in an annulus is the intensity's integral in
+closed form, from the same windows.
 
-scipy is imported on first call, not with this module: scipy.special by
-the Poisson helpers, scipy.linalg by ``generalized_schur``.
+scipy.linalg is imported on first call of ``generalized_schur``, not with
+this module.
 """
 
 from __future__ import annotations
@@ -116,34 +119,146 @@ def ginibre_kernel(n: int, z: complex, w: complex) -> complex:
     return complex(total)
 
 
-def _poisson_log_pmf(lams, k: np.ndarray) -> np.ndarray:
-    """log P(Poisson(lam) = k), one row per rate lam > 0 in ``lams``."""
-    from scipy.special import gammaln
+def _reach(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """How many counts a ``_poisson_sides`` row of rate lam reaches below and above its mode."""
+    root = np.sqrt(lam)
+    return np.ceil(40.0 * root) + 40.0, np.ceil(10.0 * root) + 10.0
 
+
+def _poisson_sides(lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Poisson(lam) probabilities on each side of the mode m = floor(lam), for rates lam >= 0.
+
+    Returns (m, down, up) with down[r, i] = q_{m-1-i} and up[r, i] = q_{m+1+i},
+    where q_j = P(X = j) / P(X = m), so q_m = 1. Each side is built from q_m by
+    the ratios q_{j+1} / q_j = lam / (j + 1), multiplied outward; the
+    log-space form -lam + j log lam - log j! would carry a rounding error near
+    eps lam log lam. Below the mode a row reaches ceil(40 sqrt(lam)) + 40
+    counts, so a lower tail keeps its relative accuracy until it underflows.
+    Above it a row reaches ceil(10 sqrt(lam)) + 10 counts: every caller
+    weighs the upper side against the whole mass, and what it leaves out is
+    below 1e-20 of that. Entries past a row's reach, or below j = 0, read 0,
+    so a row does not depend on the others; each side ends in a column of 0.
+    """
     lam = np.array(lams, dtype=float)[:, None]
-    return -lam + k * np.array([[math.log(v)] for v in lam[:, 0].tolist()]) - gammaln(k + 1)
+    m = np.floor(lam)
+    reach_down, reach_up = (r.astype(np.int64) for r in _reach(lam[:, 0]))
+    rows = np.arange(m.size)
+
+    def outward(ratio, reach):
+        ratio[rows, np.minimum(reach, ratio.shape[1] - 1)] = 0.0
+        return np.cumprod(ratio, axis=1, out=ratio)
+
+    up = m + np.arange(1.0, reach_up.max() + 2.0)
+    down = np.maximum(m - np.arange(min(m.max(), reach_down.max()) + 1.0), 0.0)  # j + 1
+    np.divide(lam, up, out=up)
+    np.divide(down, lam, out=down, where=down > 0)
+    return m[:, 0].astype(np.int64), outward(down, reach_down), outward(up, reach_up)
 
 
-def _poisson_log_cdf(lams, kmax: int) -> np.ndarray:
-    """log P(Poisson(lam) <= kmax) for each rate lam >= 0, from one row-wise logsumexp."""
-    from scipy.special import logsumexp
+def _tail_sums(side: np.ndarray) -> np.ndarray:
+    """side[r, i:].sum() for every i, in place: added from the far end, small terms first.
 
+    The adds run in sequence, so the zeros that pad a row do not change its sums.
+    """
+    np.cumsum(side[:, ::-1], axis=1, out=side[:, ::-1])
+    return side
+
+
+def _rate_cap(top: int) -> float:
+    """The rate at which count ``top`` lies 40 sqrt(lam) + 40 below the mean.
+
+    Above it P(X <= top) < exp(-800) underflows, and ``_poisson_sides``'s rows
+    do not reach ``top``; below it a row holds under 50 sqrt(top + 440) + 1060 counts.
+    """
+    return (20.0 + math.sqrt(top + 440.0)) ** 2
+
+
+def _poisson_cdf(lams, k: int) -> np.ndarray:
+    """P(Poisson(lam) <= k) for each rate lam >= 0, from the tail that leaves out the mode.
+
+    Rates above ``_rate_cap(k)`` read 0 and rates whose row ends at or below
+    k read 1, as their rows would give; only the rest are built.
+    """
     lam = np.array(lams, dtype=float)
-    out = np.full(lam.size, 0.0 if kmax >= 0 else -math.inf)
-    if kmax >= 0 and np.any(lam > 0):
-        out[lam > 0] = logsumexp(_poisson_log_pmf(lam[lam > 0], np.arange(kmax + 1)), axis=1)
+    out = (np.floor(lam) + _reach(lam)[1] <= k).astype(float)
+    live = (lam <= _rate_cap(k)) & (out == 0.0)
+    if not live.any():
+        return out
+    m, down, up = _poisson_sides(lam[live])
+    below, above = _tail_sums(down), _tail_sums(up)
+    rows = np.arange(m.size)
+    # sum over j <= k for k < m, and over j > k for k >= m; past a row's end, its 0
+    lower = below[rows, np.clip(m - 1 - k, 0, below.shape[1] - 1)]
+    upper = above[rows, np.clip(k - m, 0, above.shape[1] - 1)]
+    mass = below[:, 0] + (1.0 + above[:, 0])
+    out[live] = np.where(k < m, lower / mass, 1.0 - upper / mass)
     return out
+
+
+def _poisson_pmf(lams) -> tuple[np.ndarray, np.ndarray]:
+    """(j, p) with P(Poisson(lam) = j[r, c]) = p[r, c]: a ``_poisson_sides`` row per rate."""
+    m, down, up = _poisson_sides(lams)
+    q = np.concatenate([down[:, ::-1], np.ones((m.size, 1)), up], axis=1)
+    mass = _tail_sums(down)[:, 0] + (1.0 + _tail_sums(up)[:, 0])
+    return m[:, None] + np.arange(-down.shape[1], up.shape[1] + 1), q / mass[:, None]
+
+
+def _x_minus_log1p(x: float) -> float:
+    """x - log1p(x) for x > 0, from the atanh series where the difference would cancel."""
+    if x > 1.0:
+        return x - math.log1p(x)
+    # log1p(x) = 2 atanh(t), t = x / (2 + x): x - log1p(x) = x t - 2 sum_{odd k>=3} t^k / k
+    t = x / (2.0 + x)
+    total, term, k = 0.0, t ** 3, 3
+    while total + term / k != total:
+        total += term / k
+        term *= t * t
+        k += 2
+    return x * t - 2.0 * total
+
+
+def _expected_counts(n: int, u_edges) -> list:
+    """Expected eigenvalue counts of a variance-1/n Ginibre draw in annuli u_lo <= n|z|^2 <= u_hi.
+
+    The annuli lie between consecutive u_edges. The radial intensity
+    integrates to int Q(n, u) du, Q(n, u) = P(X_u <= n-1) for
+    X_u ~ Poisson(u). With U(x) = E[(X_x - n)+] and L(x) = E[(n - X_x)+] that
+    is (u_hi - u_lo) + U(u_lo) - U(u_hi), taken when the annulus's middle is
+    below n, or else L(u_lo) - L(u_hi); no quadrature. On an annulus no wider
+    than sqrt(u_lo) each p_j(u_lo) - p_j(u_hi) is formed as
+    p_j(u_hi) expm1(d - j log1p(d/u_lo)), d = u_hi - u_lo, which avoids the
+    cancellation; the exponent is taken as u_lo (d/u_lo - log1p(d/u_lo)) -
+    (j - u_lo) log1p(d/u_lo), whose parts do not cancel near j = u_lo. The
+    u_hi row is the one whose counts reach past both rates' mass.
+    Radius r of the n-th-power spectrum maps to u = n r^(2/n).
+    """
+    # Q(n, u) underflows past the cap, so the edges stop there
+    u_edges = np.minimum(u_edges, _rate_cap(n - 1)).tolist()
+    j, p = _poisson_pmf(u_edges)
+    counts = []
+    for lo, (u_lo, u_hi) in enumerate(zip(u_edges[:-1], u_edges[1:])):
+        u_form = (u_lo + u_hi) / 2.0 < n
+        w = np.maximum(j[lo:lo + 2] - n, 0) if u_form else np.maximum(n - j[lo:lo + 2], 0)
+        d = u_hi - u_lo
+        if d <= math.sqrt(u_lo):
+            x = d / u_lo
+            log_ratio = u_lo * _x_minus_log1p(x) - (j[lo + 1] - u_lo) * math.log1p(x)
+            terms = w[1] * p[lo + 1] * np.expm1(log_ratio)
+        else:
+            terms = np.concatenate([w[0] * p[lo], -w[1] * p[lo + 1]])
+        counts.append(math.fsum([u_hi, -u_lo, *terms.tolist()] if u_form else terms.tolist()))
+    return counts
 
 
 def ginibre_intensity(n: int, z):
     """1-point eigenvalue intensity (1/pi) e^{-|z|^2} sum_{k<n} |z|^{2k}/k!.
 
     Equals (1/pi) P(Poisson(|z|^2) <= n-1); tends to 1/pi inside the bulk.
-    For an array z the result is an array shaped like z, from one logsumexp
-    call, each value bit-identical to the scalar call's float.
+    For an array z the result is an array shaped like z, from one pass over
+    the points, each value bit-identical to the scalar call's float.
     """
     s = [abs(complex(v)) ** 2 for v in np.ravel(z).tolist()]
-    rho = [math.exp(c) / math.pi for c in _poisson_log_cdf(s, n - 1).tolist()]
+    rho = (_poisson_cdf(s, n - 1) / math.pi).tolist()
     return rho[0] if np.ndim(z) == 0 else np.array(rho).reshape(np.shape(z))
 
 
@@ -157,8 +272,8 @@ def power_intensity(n: int, z):
     r = [abs(complex(v)) for v in np.ravel(z).tolist()]
     if 0.0 in r:
         raise ZeroPoint("intensity is not defined at the origin")
-    log_cdf = _poisson_log_cdf([n * v ** (2.0 / n) for v in r], n - 1).tolist()
-    rho = [math.exp(c - (2.0 - 2.0 / n) * math.log(v)) / math.pi for c, v in zip(log_cdf, r)]
+    cdf = _poisson_cdf([n * v ** (2.0 / n) for v in r], n - 1).tolist()
+    rho = [c * math.exp(-(2.0 - 2.0 / n) * math.log(v)) / math.pi for c, v in zip(cdf, r)]
     return rho[0] if np.ndim(z) == 0 else np.array(rho).reshape(np.shape(z))
 
 
@@ -178,20 +293,23 @@ def power_spectrum_sample(rng, n: int) -> SpectrumSample:
 def cross_term(n: int, z1: complex, z2: complex) -> float:
     """Two-point correction term of the powered-spectrum intensity product.
 
-    (1/(pi^2 (r1 r2)^{2-2/n})) sum_{l<n} pmf(n r1^{2/n}, l) pmf(n r2^{2/n}, l);
-    its decay in n is what makes the limiting counts independent.
+    (1/(pi^2 (r1 r2)^{2-2/n})) sum_{l<n} pmf(n r1^{2/n}, l) pmf(n r2^{2/n}, l),
+    the sum taken over the counts both Poisson windows hold; its decay in n is
+    what makes the limiting counts independent.
     """
-    from scipy.special import logsumexp
-
     r1 = abs(complex(z1))
     r2 = abs(complex(z2))
     if r1 == 0 or r2 == 0:
         raise ZeroPoint("cross term is not defined at the origin")
-    lam1 = n * r1 ** (2.0 / n)
-    lam2 = n * r2 ** (2.0 / n)
-    log_sum = float(logsumexp(_poisson_log_pmf([lam1, lam2], np.arange(n)).sum(axis=0)))
+    lams = [n * r1 ** (2.0 / n), n * r2 ** (2.0 / n)]
+    if max(lams) > _rate_cap(n - 1):
+        return 0.0  # no count below n has a probability above the underflow
+    j, p = _poisson_pmf(lams)
+    lo = max(int(j[0, 0]), int(j[1, 0]), 0)
+    hi = max(min(int(j[0, -1]), int(j[1, -1]), n - 1) + 1, lo)
+    a, b = (p[r, lo - int(j[r, 0]):hi - int(j[r, 0])] for r in (0, 1))
     log_pref = -(2.0 - 2.0 / n) * (math.log(r1) + math.log(r2))
-    return math.exp(log_sum + log_pref) / (math.pi ** 2)
+    return math.exp(log_pref) * math.fsum((a * b).tolist()) / (math.pi ** 2)
 
 
 @dataclass(frozen=True)

@@ -394,7 +394,7 @@ def critical_points(p: RootPoly, *, max_iter: int = MAX_ITER) -> RootFindReport:
         # isolated; once every active point has converged, all of them do
         freeze = steps <= NEWTON_TOL
         cand = np.flatnonzero(freeze)
-        if cand.size < active.size:
+        if 0 < cand.size < active.size:
             freeze[cand] = _isolated(w, active[cand], fixed, s1[cand], den[cand], poles)
         frozen = np.ones(w.size, dtype=bool)
         frozen[active] = False

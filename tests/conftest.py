@@ -26,6 +26,37 @@ def rng():
     return np.random.default_rng(20250808)
 
 
+def poisson_cdf_mp(k: int, lam: float):
+    """P(Poisson(lam) <= k) for a double rate lam >= 0, at mpmath's working precision.
+
+    The regularized upper incomplete gamma Q(k + 1, lam); 0 for k < 0.
+    """
+    import mpmath
+
+    if k < 0:
+        return mpmath.mpf(0)
+    if lam == 0:
+        return mpmath.mpf(1)
+    return mpmath.gammainc(k + 1, mpmath.mpf(lam), mpmath.inf, regularized=True)
+
+
+def expected_count_mp(n: int, u_lo: float, u_hi: float):
+    """The integral of Q(n, u) over u_lo <= u <= u_hi, at mpmath's working precision.
+
+    It equals L(u_lo) - L(u_hi) with L(x) = E[(n - X)+] = n Q(n, x) - x Q(n - 1, x)
+    for X ~ Poisson(x), since L'(x) = -Q(n, x).
+    """
+    def below_n(x):
+        return n * poisson_cdf_mp(n - 1, x) - x * poisson_cdf_mp(n - 2, x)
+
+    return below_n(u_lo) - below_n(u_hi)
+
+
+def worst_relative_error(got, refs) -> float:
+    """max |g - r| / |r| over doubles g and mpmath references r, at the working precision."""
+    return float(max(abs(g - r) / abs(r) for g, r in zip(np.ravel(got).tolist(), refs)))
+
+
 def renyi_exponential_order_stats(e) -> np.ndarray:
     """Order statistics of n exponentials built from n fresh exponentials.
 

@@ -1,13 +1,22 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import assert_multiset_close
+from conftest import (
+    assert_multiset_close,
+    expected_count_mp,
+    poisson_cdf_mp,
+    worst_relative_error,
+)
+import spectralab.compute as compute
 from spectralab.errors import DegenerateSpectrum, WrongSize, ZeroPoint
+from spectralab.polycore import canonical_order
 from spectralab.randgen import RngStream, bernoulli_entries, gaussian_entries
 from spectralab.rmt import (
+    _expected_counts,
     cross_term,
     eigenvalues,
     generalized_schur,
@@ -111,6 +120,16 @@ class TestKernelIntensity:
             z = complex(rng.normal() * 3, rng.normal() * 3)
             assert ginibre_intensity(int(rng.integers(1, 64)), z) >= 0.0
 
+    def test_far_points_underflow_to_zero(self):
+        # rates past the cap build no Poisson row; the intensity underflows there
+        assert ginibre_intensity(10, 1e5) == 0.0
+        assert ginibre_intensity(10, [3.0, 1e5])[1] == 0.0
+        assert power_intensity(2, 1e300) == 0.0
+
+    def test_expected_counts_integrate_to_n(self):
+        # the edge past the rate cap is cut to it, and the plane holds n eigenvalues
+        assert _expected_counts(64, [0.0, 1e12]) == [64.0]
+
     @pytest.mark.parametrize("n", [1, 10, 64, 400])
     def test_array_matches_scalar_bitwise(self, n):
         zs = np.concatenate([[0.0], np.linspace(0.01, 1.25, 125) * math.sqrt(n),
@@ -150,15 +169,68 @@ class TestPowerIntensity:
             power_intensity(5, np.array([1.0, 0.0, 2.0]))
 
 
+class TestPoissonOracles:
+    """The experiments' intensity tables and expected counts against 40-digit mpmath.
+
+    Each bound is the measured worst relative error, rounded up.
+    """
+
+    @pytest.fixture(autouse=True)
+    def forty_digits(self):
+        with mpmath.workdps(40):
+            yield
+
+    @pytest.mark.parametrize("n, bound", [(12, 4e-16), (64, 1e-15)])
+    def test_ginibre_table(self, n, bound):
+        z = math.sqrt(n) * np.linspace(0.01, 1.25, 125)  # ginibre-intensity's intensity.csv
+        refs = [n * poisson_cdf_mp(n - 1, abs(v) ** 2) / mpmath.pi for v in z.tolist()]
+        assert worst_relative_error(n * ginibre_intensity(n, z), refs) <= bound
+
+    @pytest.mark.parametrize("n, bound", [(10, 8e-16), (64, 1e-15)])
+    def test_power_table(self, n, bound):
+        r = np.linspace(0.5, 2.0 * math.e, 121)  # poisson-limit's intensity.csv
+        refs = [poisson_cdf_mp(n - 1, n * v ** (2.0 / n))
+                / (mpmath.pi * mpmath.mpf(v) ** (2 - mpmath.mpf(2) / n)) for v in r.tolist()]
+        assert worst_relative_error(power_intensity(n, r), refs) <= bound
+
+    @pytest.mark.parametrize("n, u, bound", [
+        # ginibre-intensity's bins, and poisson-limit's annulus
+        (12, [12 * e * e for e in np.linspace(0.2, 0.9, 8).tolist()], 1.2e-16),
+        (64, [64 * e * e for e in np.linspace(0.2, 0.9, 8).tolist()], 1e-16),
+        (10, [10 * r ** (2.0 / 10) for r in (1.0, math.e)], 1.5e-16),
+        (64, [64 * r ** (2.0 / 64) for r in (1.0, math.e)], 1e-16),
+    ], ids=["bins-12", "bins-64", "annulus-10", "annulus-64"])
+    def test_expected_counts(self, n, u, bound):
+        refs = [expected_count_mp(n, lo, hi) for lo, hi in zip(u[:-1], u[1:])]
+        assert worst_relative_error(_expected_counts(n, u), refs) <= bound
+
+
+def spectra_on_two_threads(g, n: int, trials: int, variance: float) -> list:
+    """Spectra of `trials` draws of sample_ginibre(g, n, variance).
+
+    Every matrix is drawn first, in order, from g; the eigensolves then run on
+    the two compute threads.
+    """
+    mats = [sample_ginibre(g, n, variance) for _ in range(trials)]
+    return compute.map_two(lambda i: eigenvalues(mats[i]).eigenvalues, trials)
+
+
+def power_spectra(seed: int, n: int, trials: int) -> list:
+    """`trials` draws of power_spectrum_sample from one generator, eigensolves on two threads."""
+    base = spectra_on_two_threads(RngStream(seed).generator(), n, trials, 1.0 / n)
+    spectra = [canonical_order(ev ** n) for ev in base]
+    assert np.array_equal(spectra[0],
+                          power_spectrum_sample(RngStream(seed).generator(), n).eigenvalues)
+    return spectra
+
+
 class TestPowerSpectrum:
     def test_annulus_count_against_exact_intensity(self):
         # expected count in 1 <= |mu| <= e is the integral of the exact
         # finite-n intensity; the MC mean must agree within sampling error
         n, trials = 64, 400
-        g = RngStream(103).generator()
         counts = []
-        for _ in range(trials):
-            mu = power_spectrum_sample(g, n).eigenvalues
+        for mu in power_spectra(103, n, trials):
             counts.append(np.sum((np.abs(mu) >= 1.0) & (np.abs(mu) <= math.e)))
         from scipy.special import gammaincc
         expected, _ = quad(lambda w: gammaincc(n, w), n, n * math.exp(2.0 / n))
@@ -168,10 +240,9 @@ class TestPowerSpectrum:
 
     def test_disjoint_annuli_nearly_uncorrelated(self):
         n, trials = 64, 800
-        g = RngStream(104).generator()
         c1, c2 = [], []
-        for _ in range(trials):
-            r = np.abs(power_spectrum_sample(g, n).eigenvalues)
+        for mu in power_spectra(104, n, trials):
+            r = np.abs(mu)
             c1.append(np.sum((r >= 1.0) & (r <= math.e)))
             c2.append(np.sum((r > math.e) & (r <= math.e ** 2)))
         rho = np.corrcoef(c1, c2)[0, 1]
@@ -324,10 +395,8 @@ class TestRealEigenvalues:
 class TestRepulsion:
     def test_nearest_neighbour_spacings_avoid_zero(self):
         n, trials = 128, 200
-        g = RngStream(116).generator()
         close_fraction = []
-        for _ in range(trials):
-            lam = eigenvalues(sample_ginibre(g, n, 1.0 / n)).eigenvalues
+        for lam in spectra_on_two_threads(RngStream(116).generator(), n, trials, 1.0 / n):
             d = np.abs(lam[:, None] - lam[None, :])
             np.fill_diagonal(d, np.inf)
             nn = d.min(axis=1)

@@ -181,6 +181,23 @@ class TestDeflation:
         # sits at the rounding floor rather than just under NEWTON_TOL
         assert rep.residuals.max() <= 1e-2 * NEWTON_TOL
 
+    def test_isolation_pass_skips_sweeps_with_nothing_converged(self, monkeypatch):
+        # the first sweeps of a solve have no converged active point, and
+        # _isolated must not run its two row kernels on zero rows
+        sizes = []
+        isolated = rootsolve._isolated
+
+        def spied(w, cand, *args):
+            sizes.append(cand.size)
+            return isolated(w, cand, *args)
+
+        monkeypatch.setattr(rootsolve, "_isolated", spied)
+        walsh = _walsh_roots(RngStream(42, stream_id_for("walsh-clusters", 0)),
+                             {"k": 2, **WALSH})[1]
+        for roots in (thm1_roots(1600), walsh):
+            assert critical_points(RootPoly(roots)).converged
+        assert sizes and min(sizes) > 0
+
     def test_max_iter_three_raises(self):
         with pytest.raises(NoConvergence):
             critical_points(RootPoly(thm1_roots(1600)), max_iter=3)
