@@ -253,13 +253,22 @@ def _thm1_summary(params, rows, extras):
 
 # --- ginibre-intensity -----------------------------------------------------
 
-def _radius_range_check(params):
-    if not 0.0 <= params["r_lo"] < params["r_hi"]:
-        raise BadParams("0 <= r_lo < r_hi required")
-
-
 def _ginibre_bins(params):
     return np.linspace(params["r_lo"], params["r_hi"], params["bins"] + 1)
+
+
+def _ginibre_expected(params) -> list:
+    n = params["n"]
+    return _expected_counts(n, [n * e * e for e in _ginibre_bins(params).tolist()])
+
+
+def _ginibre_intensity_check(params):
+    if not 0.0 <= params["r_lo"] < params["r_hi"]:
+        raise BadParams("0 <= r_lo < r_hi required")
+    # the summary's relative errors divide by the expected counts
+    if min(_ginibre_expected(params)) <= 0.0:
+        raise BadParams(f"a bin of [{params['r_lo']!r}, {params['r_hi']!r}] expects "
+                        f"no eigenvalue at n = {params['n']}")
 
 
 def _ginibre_intensity_trial(stream, params):
@@ -275,8 +284,7 @@ def _ginibre_intensity_summary(params, rows, extras):
     edges = _ginibre_bins(params)
     mean_counts = np.array([np.mean(_column(rows, f"count_b{i}"))
                             for i in range(params["bins"])])
-    n = params["n"]
-    expected = np.array(_expected_counts(n, [n * e * e for e in edges.tolist()]))
+    expected = np.array(_ginibre_expected(params))
     rel_err = np.abs(mean_counts - expected) / expected
     return {
         "bin_edges": [float(e) for e in edges],
@@ -310,7 +318,8 @@ def _poisson_limit_summary(params, rows, extras):
     return {
         "mean_count": mean,
         "count_variance": var,
-        "variance_over_mean": var / mean if mean else float("nan"),
+        # null, not NaN, when no trial counted an eigenvalue
+        "variance_over_mean": var / mean if mean else None,
         "analytic_expected": _expected_counts(
             n, [n * params["r_lo"] ** (2.0 / n), n * params["r_hi"] ** (2.0 / n)])[0],
     }
@@ -543,7 +552,7 @@ EXPERIMENTS = {edef.name: edef for edef in (
         ("trial", "seed"),
         dict(n=(int, 64, 1), r_lo=(float, 0.2), r_hi=(float, 0.9), bins=(int, 7, 1)),
         _ginibre_intensity_trial, _ginibre_intensity_summary,
-        check=_radius_range_check,
+        check=_ginibre_intensity_check,
         files=_ginibre_intensity_files,
         scatter_radius=lambda params: math.inf,
         lapack_bound=True,

@@ -45,7 +45,8 @@ __all__ = [
 ]
 
 _HULL_EDGE_BLOCK = 64
-_DIRECTION_BLOCK = 64
+_DIRECTION_BLOCK = 8
+_QUAD_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -74,24 +75,34 @@ def _as_measure(m) -> EmpiricalMeasure:
     return m if isinstance(m, EmpiricalMeasure) else EmpiricalMeasure(m)
 
 
-def _quantile_w1(xs: np.ndarray, ys: np.ndarray) -> list:
-    """Exact W1 between row k of xs and row k of ys, both sorted along axis 1.
+def _quantile_grid(n: int, m: int):
+    """(widths, ia, ib): the merged quantile grid of an n-point and an m-point measure.
 
-    The integral of |F_a^{-1} - F_b^{-1}| is taken over the merged quantile
-    grid, with breakpoints handled exactly in integer arithmetic (multiples of
-    1/(n*m)). The grid depends only on the row lengths, so it is built once
-    for all rows.
+    Its breakpoints are those of both inverse CDFs, handled exactly in
+    integer arithmetic on the common denominator n*m; on cell c the inverse
+    CDFs read point ia[c] and point ib[c], and the cell is widths[c] / (n*m)
+    wide. None when n == m, where the points pair off in order.
     """
-    n, m = xs.shape[1], ys.shape[1]
     if n == m:
-        return [float(np.mean(row)) for row in np.abs(xs - ys)]
-    # breakpoints of both inverse CDFs on the common denominator n*m
+        return None
     cuts = np.union1d(np.arange(1, n + 1, dtype=np.int64) * m,
                       np.arange(1, m + 1, dtype=np.int64) * n)
     prev = np.concatenate([[0], cuts[:-1]])
-    ia = np.minimum(prev // m, n - 1)
-    ib = np.minimum(prev // n, m - 1)
-    weighted = (cuts - prev) * np.abs(xs[:, ia] - ys[:, ib])
+    return cuts - prev, np.minimum(prev // m, n - 1), np.minimum(prev // n, m - 1)
+
+
+def _quantile_w1(xs: np.ndarray, ys: np.ndarray, grid) -> list:
+    """Exact W1 between row k of xs and row k of ys, both sorted along axis 1.
+
+    The integral of |F_a^{-1} - F_b^{-1}| is taken over ``grid``, the
+    ``_quantile_grid`` of the row lengths, which the caller builds once for
+    all rows.
+    """
+    if grid is None:
+        return [float(np.mean(row)) for row in np.abs(xs - ys)]
+    widths, ia, ib = grid
+    n, m = xs.shape[1], ys.shape[1]
+    weighted = widths * np.abs(xs[:, ia] - ys[:, ib])
     # one 1-D sum per row: a single axis=1 sum can round differently
     return [float(np.sum(row)) / (n * m) for row in weighted]
 
@@ -105,7 +116,7 @@ def wasserstein1_1d(a, b) -> float:
     """
     xs = _as_measure(a).real_support()
     ys = _as_measure(b).real_support()
-    return _quantile_w1(xs[None, :], ys[None, :])[0]
+    return _quantile_w1(xs[None, :], ys[None, :], _quantile_grid(xs.size, ys.size))[0]
 
 
 def sliced_wasserstein2d(a, b, n_proj: int, seed: int) -> float:
@@ -114,9 +125,9 @@ def sliced_wasserstein2d(a, b, n_proj: int, seed: int) -> float:
     Directions are uniform angles in [0, pi); the value is the plain mean of
     the projected distances, with no direction-sampling correction: a rigid
     shift by t therefore averages to |t| * 2/pi. Directions go in blocks of
-    64, one array pass each: each cloud is projected into a (directions,
-    size) array, sorted along its rows, and every row pair is scored on one
-    quantile grid.
+    _DIRECTION_BLOCK, one array pass each: each cloud is projected into a
+    (directions, size) array, sorted along its rows, and every row pair is
+    scored on the one quantile grid the call builds.
     """
     if n_proj < 1:
         raise ValueError("n_proj >= 1 required")
@@ -124,6 +135,7 @@ def sliced_wasserstein2d(a, b, n_proj: int, seed: int) -> float:
     bm = _as_measure(b)
     rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), 0x51D]))
     thetas = rng.uniform(0.0, np.pi, n_proj)
+    grid = _quantile_grid(am.n, bm.n)
     total = 0.0
     # directions go in blocks, so no direction x point temporary outgrows one block
     for lo in range(0, n_proj, _DIRECTION_BLOCK):
@@ -133,7 +145,7 @@ def sliced_wasserstein2d(a, b, n_proj: int, seed: int) -> float:
         pa = np.sort(am.support.real * cos + am.support.imag * sin, axis=1)
         pb = np.sort(bm.support.real * cos + bm.support.imag * sin, axis=1)
         # in direction order; the builtin sum() may compensate and round differently
-        for dist in _quantile_w1(pa, pb):
+        for dist in _quantile_w1(pa, pb, grid):
             total += dist
     return total / n_proj
 
@@ -414,7 +426,8 @@ def poisson_jensen_residual(zeros, poles, z: complex, R: float, quad_nodes: int)
     f is the rational function with the given zeros and poles (unit leading
     constant). The boundary integral over |w| = R uses the trapezoid rule,
     which is spectrally accurate for this periodic integrand; zeros/poles
-    inside the disk enter through their Blaschke corrections.
+    inside the disk enter through their Blaschke corrections. log|f| is
+    evaluated over blocks of _QUAD_BLOCK nodes.
     """
     zs = np.asarray(zeros, dtype=complex).ravel()
     ps = np.asarray(poles, dtype=complex).ravel()
@@ -426,12 +439,16 @@ def poisson_jensen_residual(zeros, poles, z: complex, R: float, quad_nodes: int)
             raise SingularOnContour(f"zero/pole at |w| = {abs(w):.12g} sits on the contour")
 
     def log_abs_f(points: np.ndarray) -> np.ndarray:
+        # nodes go in blocks, so no node x zero temporary outgrows one block;
+        # each node's row is summed on its own, zeros first, then poles
+        t = np.zeros(points.shape, dtype=float)
         with np.errstate(divide="ignore"):
-            t = np.zeros(points.shape, dtype=float)
-            if zs.size:
-                t = t + np.sum(np.log(np.abs(points[:, None] - zs[None, :])), axis=1)
-            if ps.size:
-                t = t - np.sum(np.log(np.abs(points[:, None] - ps[None, :])), axis=1)
+            for lo in range(0, points.size, _QUAD_BLOCK):
+                blk = points[lo:lo + _QUAD_BLOCK, None]
+                if zs.size:
+                    t[lo:lo + _QUAD_BLOCK] += np.sum(np.log(np.abs(blk - zs)), axis=1)
+                if ps.size:
+                    t[lo:lo + _QUAD_BLOCK] -= np.sum(np.log(np.abs(blk - ps)), axis=1)
         return t
 
     theta = 2.0 * np.pi * np.arange(quad_nodes) / quad_nodes

@@ -54,6 +54,7 @@ __all__ = [
 TOL_EIG = 1e-8
 _COND_LIMIT = 1e12
 _MAX_RESAMPLES = 10
+_TRIAL_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -257,8 +258,9 @@ def ginibre_intensity(n: int, z):
     For an array z the result is an array shaped like z, from one pass over
     the points, each value bit-identical to the scalar call's float.
     """
-    s = [abs(complex(v)) ** 2 for v in np.ravel(z).tolist()]
-    rho = (_poisson_cdf(s, n - 1) / math.pi).tolist()
+    r = [abs(complex(v)) for v in np.ravel(z).tolist()]
+    # v * v, not v ** 2: past |z| = 1.3e154 it is inf (intensity 0), not OverflowError
+    rho = (_poisson_cdf([v * v for v in r], n - 1) / math.pi).tolist()
     return rho[0] if np.ndim(z) == 0 else np.array(rho).reshape(np.shape(z))
 
 
@@ -447,18 +449,25 @@ def real_eig_probability(rng, k: int, n_factors: int, entry_sampler: Callable,
 
     An eigenvalue counts as real when |Im| <= 1e-8 (1 + |eigenvalue|); the
     threshold stands in for the almost-sure dichotomy that exact arithmetic
-    would give.
+    would give. Trials go in chunks of _TRIAL_BLOCK, each drawn by
+    entry_sampler(g, (chunk, n_factors, k, k)) from one generator in turn.
+    A sampler must draw its entries from g one by one in C order, so that the
+    chunks' draws equal one draw of shape (trials, n_factors, k, k);
+    ``gaussian_entries`` and ``bernoulli_entries`` do.
     """
     if trials < 1:
         raise ValueError("trials >= 1 required")
     g = _gen(rng)
-    entries = np.asarray(entry_sampler(g, (trials, n_factors, k, k)), dtype=float)
-    prod = entries[:, 0]
-    for i in range(1, n_factors):
-        prod = prod @ entries[:, i]
-    lam = np.linalg.eigvals(prod)
-    real_mask = np.all(np.abs(lam.imag) <= 1e-8 * (1.0 + np.abs(lam)), axis=1)
-    p_hat = float(np.mean(real_mask))
+    hits = 0
+    for lo in range(0, trials, _TRIAL_BLOCK):
+        shape = (min(_TRIAL_BLOCK, trials - lo), n_factors, k, k)
+        entries = np.asarray(entry_sampler(g, shape), dtype=float)
+        prod = entries[:, 0]
+        for i in range(1, n_factors):
+            prod = prod @ entries[:, i]
+        lam = np.linalg.eigvals(prod)
+        hits += int(np.count_nonzero(
+            np.all(np.abs(lam.imag) <= 1e-8 * (1.0 + np.abs(lam)), axis=1)))
+    p_hat = hits / trials
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return RealEigEstimate(p_hat, stderr, trials)
-

@@ -167,10 +167,9 @@ def _log_deriv_sums(w: np.ndarray, values: np.ndarray, cnt: np.ndarray):
     for lo in range(0, w.size, _BLOCK_ROWS):
         blk = slice(lo, lo + _BLOCK_ROWS)
         inv = w[blk, None] - values[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.reciprocal(inv, out=inv)
-            s1[blk] = inv @ cnt
-            np.square(inv, out=inv)
+        np.reciprocal(inv, out=inv)
+        s1[blk] = inv @ cnt
+        np.square(inv, out=inv)
         s2[blk] = inv @ cnt
     return s1, s2
 
@@ -178,10 +177,15 @@ def _log_deriv_sums(w: np.ndarray, values: np.ndarray, cnt: np.ndarray):
 def _row_blocks(block, lo: int, hi: int, bufs) -> None:
     """block(a, b, *views) for consecutive row blocks [a, b) of [lo, hi), as tall as bufs."""
     height = bufs[0].shape[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for a in range(lo, hi, height):
-            b = min(a + height, hi)
-            block(a, b, *(buf[:b - a] for buf in bufs))
+    for a in range(lo, hi, height):
+        b = min(a + height, hi)
+        block(a, b, *(buf[:b - a] for buf in bufs))
+
+
+def _row_blocks_under(err: dict, *args) -> None:
+    """_row_blocks(*args) under the numpy error state ``err``, which is per thread."""
+    with np.errstate(**err):
+        _row_blocks(*args)
 
 
 def _over_rows(block, nrows: int, ncols: int, *dtypes) -> None:
@@ -192,7 +196,8 @@ def _over_rows(block, nrows: int, ncols: int, *dtypes) -> None:
     _THREAD_GRID is one block. A larger one runs in blocks of _BLOCK_ROWS;
     when the pool thread of ``compute`` can be borrowed, it takes the upper
     half of the rows with the lower half of every buffer, and the caller
-    takes the rest, each in half-height blocks.
+    takes the rest, each in half-height blocks. The kernels run under the
+    caller's numpy error state, on both threads.
     """
     if nrows * ncols < _THREAD_GRID:
         _row_blocks(block, 0, nrows, [np.empty((max(nrows, 1), ncols), dt) for dt in dtypes])
@@ -203,7 +208,8 @@ def _over_rows(block, nrows: int, ncols: int, *dtypes) -> None:
             _row_blocks(block, 0, nrows, bufs)
             return
         half, mid = _BLOCK_ROWS // 2, nrows // 2
-        upper = pool.submit(_row_blocks, block, mid, nrows, [buf[half:] for buf in bufs])
+        upper = pool.submit(_row_blocks_under, np.geterr(), block, mid, nrows,
+                            [buf[half:] for buf in bufs])
         try:
             _row_blocks(block, 0, mid, [buf[:half] for buf in bufs])
         finally:
@@ -280,12 +286,12 @@ def _newton_steps(w: np.ndarray, sums):
     """Newton step P'/P'' at each w, with s1 = P'/P and den = s1^2 - s2 = P''/P.
 
     ``sums`` is the call's log-derivative kernel. A step that is not finite
-    (w on a pole, or P'' = 0) is replaced by 1e-3 (1 + |w|).
+    (w on a pole, or P'' = 0) is replaced by 1e-3 (1 + |w|). Like the row
+    kernels, it leaves numpy's error state to its caller.
     """
     s1, s2 = sums(w)
     den = s1 * s1 - s2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        newton = s1 / den
+    newton = s1 / den
     return np.where(np.isfinite(newton), newton, 1e-3 * (1.0 + np.abs(w))), s1, den
 
 
@@ -374,50 +380,52 @@ def critical_points(p: RootPoly, *, max_iter: int = MAX_ITER) -> RootFindReport:
     best_moving = w.size + 1
     stalled = 0
     it, worst = 0, math.inf
-    for it in range(1, max_iter + 1):
-        if not active.size:
-            # certification: every point's undamped step at its final position
-            newton, _, _ = _newton_steps(w, sums)
-            steps = np.abs(newton) / (1.0 + np.abs(w))
+    # one error state for every kernel of the sweeps: a point on a pole, or
+    # P'' = 0, gives a step that the isfinite tests below replace
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            if not active.size:
+                # certification: every point's undamped step at its final position
+                newton, _, _ = _newton_steps(w, sums)
+                steps = np.abs(newton) / (1.0 + np.abs(w))
+                worst = float(steps.max())
+                if worst <= NEWTON_TOL:
+                    return RootFindReport(np.concatenate([fixed, w]),
+                                          np.concatenate([np.zeros(fixed.size), steps]),
+                                          it, True)
+                active = np.flatnonzero(steps > NEWTON_TOL)
+                continue
+            wa = w[active]
+            newton, s1, den = _newton_steps(wa, sums)
+            steps = np.abs(newton) / (1.0 + np.abs(wa))
             worst = float(steps.max())
-            if worst <= NEWTON_TOL:
-                return RootFindReport(np.concatenate([fixed, w]),
-                                      np.concatenate([np.zeros(fixed.size), steps]),
-                                      it, True)
-            active = np.flatnonzero(steps > NEWTON_TOL)
-            continue
-        wa = w[active]
-        newton, s1, den = _newton_steps(wa, sums)
-        steps = np.abs(newton) / (1.0 + np.abs(wa))
-        worst = float(steps.max())
-        # a converged point freezes after this sweep's correction if it is
-        # isolated; once every active point has converged, all of them do
-        freeze = steps <= NEWTON_TOL
-        cand = np.flatnonzero(freeze)
-        if 0 < cand.size < active.size:
-            freeze[cand] = _isolated(w, active[cand], fixed, s1[cand], den[cand], poles)
-        frozen = np.ones(w.size, dtype=bool)
-        frozen[active] = False
-        with np.errstate(divide="ignore", invalid="ignore"):
+            # a converged point freezes after this sweep's correction if it is
+            # isolated; once every active point has converged, all of them do
+            freeze = steps <= NEWTON_TOL
+            cand = np.flatnonzero(freeze)
+            if 0 < cand.size < active.size:
+                freeze[cand] = _isolated(w, active[cand], fixed, s1[cand], den[cand], poles)
+            frozen = np.ones(w.size, dtype=bool)
+            frozen[active] = False
             corr = newton / (1.0 - newton * _row_repulsion(wa, np.concatenate([w[frozen], fixed])))
-        corr = np.where(np.isfinite(corr), corr, newton)
-        w[active] = wa - corr
-        moved = np.abs(corr) / (1.0 + np.abs(w[active]))
-        active = active[~freeze]
-        if not active.size:
-            continue
-        # progress = fewer points still moving, or a smaller largest move
-        last_step = float(moved.max())
-        moving = int(np.sum(moved > NEWTON_TOL))
-        if moving < best_moving or (moving == best_moving
-                                    and last_step < best_step * (1.0 - 1e-3)):
-            best_moving = moving
-            best_step = min(best_step, last_step)
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= _STALL_SWEEPS:
-                break
+            corr = np.where(np.isfinite(corr), corr, newton)
+            w[active] = wa - corr
+            moved = np.abs(corr) / (1.0 + np.abs(w[active]))
+            active = active[~freeze]
+            if not active.size:
+                continue
+            # progress = fewer points still moving, or a smaller largest move
+            last_step = float(moved.max())
+            moving = int(np.sum(moved > NEWTON_TOL))
+            if moving < best_moving or (moving == best_moving
+                                        and last_step < best_step * (1.0 - 1e-3)):
+                best_moving = moving
+                best_step = min(best_step, last_step)
+                stalled = 0
+            else:
+                stalled += 1
+                if stalled >= _STALL_SWEEPS:
+                    break
     raise NoConvergence(f"critical-point iteration stopped after {it} sweeps "
                         f"at Newton step {worst:.3e}")
 

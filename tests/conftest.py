@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,3 +216,17 @@ def sliced_wasserstein_loop(a, b, n_proj: int, seed: int) -> float:
         pb = pb_pts.real * math.cos(t) + pb_pts.imag * math.sin(t)
         total += wasserstein1_sorted(np.sort(pa), np.sort(pb))
     return total / n_proj
+
+
+def traced_peak_mib(call) -> float:
+    """Peak of the Python-heap allocations (numpy's included) during call(), in MiB.
+
+    call() runs once untraced first, so lazy imports and caches are not counted.
+    """
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()

@@ -507,6 +507,7 @@ class TestCli:
         ("ginibre-intensity", ["r_hi=inf"]),
         ("walsh-clusters", ["eps=nan"]),
         ("discrepancy", ["C=nan"]),
+        ("ginibre-intensity", ["r_lo=6", "r_hi=7"]),
     ])
     def test_refused_param_values_exit_2(self, name, params, tmp_path):
         args = ["run", "--experiment", name, "--trials", "1", "--out", str(tmp_path / "x")]
@@ -528,6 +529,37 @@ class TestCli:
         # ginibre-intensity's bins may start at the origin
         run_experiment(ExperimentConfig("ginibre-intensity", 42, 1,
                                         {"n": 12, "r_lo": 0.0}, tmp_path / "g"))
+
+    def test_ginibre_intensity_refuses_empty_bins_before_any_trial(self, monkeypatch,
+                                                                  tmp_path):
+        # at n = 64 no eigenvalue is expected past radius 6: the relative
+        # errors would divide by expected counts that are 0
+        import spectralab.labcli.experiments as expmod
+
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(expmod, "sample_ginibre", no_trial)
+        with pytest.raises(BadParams, match="expects no eigenvalue"):
+            run_experiment(ExperimentConfig("ginibre-intensity", 7, 2,
+                                            {"r_lo": 6.0, "r_hi": 7.0}, tmp_path))
+        assert not tmp_path.joinpath("summary.json").exists()
+
+    def test_poisson_limit_with_no_counts_writes_null_ratio(self, tmp_path, capsys):
+        # no eigenvalue reaches the annulus, so the mean count is 0 and
+        # variance / mean has no value; summary.json must stay standard JSON
+        out = tmp_path / "p"
+        assert main(["run", "--experiment", "poisson-limit", "--seed", "7", "--trials", "3",
+                     "--param", "n=16", "--param", "r_lo=1e6", "--param", "r_hi=2e6",
+                     "--out", str(out)]) == 0
+        assert "variance_over_mean: None" in capsys.readouterr().out
+
+        def refuse(name):
+            raise AssertionError(f"non-standard JSON constant {name}")
+
+        payload = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+        assert payload["summary"]["mean_count"] == 0.0
+        assert payload["summary"]["variance_over_mean"] is None
 
     def test_numerical_failure_exit_3(self, monkeypatch, tmp_path):
         import spectralab.labcli.cli as climod

@@ -9,7 +9,9 @@ from conftest import (
     log_abs_log_deriv_scalar,
     potential_diagnostics_loop,
     sliced_wasserstein_loop,
+    traced_peak_mib,
 )
+import spectralab.measures as measures
 from spectralab.errors import (
     EmptyMeasure,
     HypothesisViolated,
@@ -443,6 +445,55 @@ class TestPoissonJensen:
             if min([abs(z - w) for w in np.concatenate([zeros, poles])] or [1.0]) < 0.05:
                 continue
             assert poisson_jensen_residual(zeros, poles, z, R, 4096) <= 1e-8
+
+
+class TestBlockedTemporaries:
+    """The direction x point and node x zero temporaries go in fixed blocks.
+
+    The peaks are tracemalloc's at the thm1-convergence benchmark sizes, taken
+    with the blocks of 8 directions and 256 nodes: 0.98 MiB for the sliced
+    distance (7.26 MiB in one block of 64 directions) and 0.83 MiB for the
+    boundary residual (9.56 MiB in one block of all nodes). A block must not
+    change a bit of the result.
+    """
+
+    @pytest.fixture
+    def thm1_clouds(self, rng):
+        crit = np.exp(2j * np.pi * rng.random(1599)) * (1.0 - 0.01 * rng.random(1599))
+        ref = np.exp(2j * np.pi * (np.arange(2048) + 0.5) / 2048)
+        return EmpiricalMeasure(crit), EmpiricalMeasure(ref)
+
+    @pytest.fixture
+    def rational(self, rng):
+        zeros = rng.normal(size=99) + 1j * rng.normal(size=99)
+        poles = rng.normal(size=100) + 1j * rng.normal(size=100)
+        return zeros, poles
+
+    def test_sliced_wasserstein_peak(self, thm1_clouds):
+        a, b = thm1_clouds
+        assert traced_peak_mib(lambda: sliced_wasserstein2d(a, b, 64, 5)) <= 1.25
+
+    def test_poisson_jensen_peak(self, rational):
+        zeros, poles = rational
+        peak = traced_peak_mib(
+            lambda: poisson_jensen_residual(zeros, poles, 0.29 + 0.07j, 2.0, 4096))
+        assert peak <= 1.0
+
+    @pytest.mark.parametrize("n_proj", [9, 64, 150])
+    def test_sliced_wasserstein_equals_one_block(self, thm1_clouds, n_proj, monkeypatch):
+        a, b = thm1_clouds
+        got = sliced_wasserstein2d(a, b, n_proj, 11)
+        monkeypatch.setattr(measures, "_DIRECTION_BLOCK", n_proj)
+        assert got == sliced_wasserstein2d(a, b, n_proj, 11)
+
+    @pytest.mark.parametrize("nodes", [257, 4096, 5000])
+    def test_poisson_jensen_equals_one_block(self, rational, nodes, monkeypatch):
+        zeros, poles = rational
+        for zs, ps in ((zeros, poles), (zeros, []), ([], poles)):
+            got = poisson_jensen_residual(zs, ps, 0.29 + 0.07j, 4.0, nodes)
+            with monkeypatch.context() as patch:
+                patch.setattr(measures, "_QUAD_BLOCK", nodes)
+                assert got == poisson_jensen_residual(zs, ps, 0.29 + 0.07j, 4.0, nodes)
 
 
 class TestKsTwoSample:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -309,6 +310,32 @@ class TestRowThreads:
             names.clear()
             etas.append(real_interlaced_critical_points(x))
         np.testing.assert_array_equal(etas[0], etas[1])
+        assert any(name.startswith("spectralab-compute") for name in names)
+
+    @pytest.mark.parametrize("state", ["raise", "ignore"])
+    def test_pool_half_runs_under_the_callers_error_state(self, threads, state):
+        # numpy's error state is per thread: the pool thread must take the
+        # caller's. Only rows of the pool's upper half divide by zero.
+        threads(2)
+        nrows, names = 256, set()
+
+        def block(lo, hi, buf):
+            names.add(threading.current_thread().name)
+            buf[:] = 1.0
+            if lo >= nrows // 2:
+                buf[:, 0] = 0.0
+            np.reciprocal(buf, out=buf)
+
+        def run():
+            rootsolve._over_rows(block, nrows, rootsolve._THREAD_GRID // 128, float)
+
+        with warnings.catch_warnings(), np.errstate(divide=state):
+            warnings.simplefilter("error")
+            if state == "raise":
+                with pytest.raises(FloatingPointError):
+                    run()
+            else:
+                run()
         assert any(name.startswith("spectralab-compute") for name in names)
 
     def test_small_degrees_start_no_pool(self, threads, monkeypatch):
