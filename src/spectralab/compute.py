@@ -2,19 +2,21 @@
 
 There are min(2, cores this process may run on) compute threads, and there
 is no option. The pool thread is created on first use and, like BLAS's own
-threads, belongs to the process. ``rootsolve``'s row kernels borrow it for
-half of the rows of a large sweep, and the experiment runner for trials
-(``map_two``). A borrow is not reentrant: a nested or concurrent borrow gets
-None and its work runs on the calling thread. So a trial on the pool thread
-that reaches a row kernel sums its rows itself instead of waiting on its own
-busy pool.
+threads, belongs to the process. This module alone hands it work:
+``run_two`` splits indices over the two threads, for ``rootsolve``'s row
+kernels (two halves of the rows of a large sweep), and ``map_two`` does the
+same for the experiment runner's trials. The pool thread is not reentrant:
+a nested or concurrent split finds it lent and runs on the calling thread.
+So a trial on the pool thread that reaches a row kernel sums its rows
+itself instead of waiting on its own busy pool. numpy's error state is per
+thread, so the pool thread runs under the caller's.
 
-While ``map_two`` runs, numpy's and scipy's bundled OpenBLAS copies are held
-at one thread each, then set back: OpenBLAS's own workers spin after a call
-and take the second core, so without the hold two trial threads are no
-faster than one. The libraries are looked up on first use; if one or a
-symbol is missing, the trials run serially. A child forked from the process
-(by any caller) gets one compute thread and one BLAS thread per copy: it has
+While ``map_two`` runs, numpy's bundled OpenBLAS, the only BLAS the lab
+calls, is held at one thread, then set back: OpenBLAS's own workers spin
+after a call and take the second core, so without the hold two trial
+threads are no faster than one. The library is looked up on first use; if
+it or a symbol is missing, the trials run serially. A child forked from the
+process (by any caller) gets one compute thread and one BLAS thread: it has
 none of the parent's threads, so a row kernel there must not wait on them.
 """
 
@@ -23,22 +25,19 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
-import importlib
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
-__all__ = ["borrow", "map_two"]
+import numpy as np
 
-# (package, library in <package>.libs, get symbol, set symbol) of each
-# bundled OpenBLAS copy: numpy's 64-bit-integer build, then scipy's
-_OPENBLAS = (
-    ("numpy", "libscipy_openblas64_*.so",
-     "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy", "libscipy_openblas-*.so",
-     "scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-)
+__all__ = ["map_two", "run_two"]
+
+# library in numpy.libs, get symbol, set symbol of numpy's bundled
+# OpenBLAS, a 64-bit-integer build
+_OPENBLAS = ("libscipy_openblas64_*.so",
+             "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
 
 
 class _ComputeThreads:
@@ -76,54 +75,65 @@ borrow = _THREADS.borrow
 
 @functools.cache
 def _openblas():
-    """(get, set) thread-count functions of each bundled OpenBLAS copy; None if one is missing."""
-    pairs = []
-    for package, pattern, get_name, set_name in _OPENBLAS:
-        site = os.path.dirname(os.path.dirname(importlib.import_module(package).__file__))
-        paths = glob.glob(os.path.join(site, f"{package}.libs", pattern))
-        if len(paths) != 1:
-            return None
-        try:
-            lib = ctypes.CDLL(paths[0])
-            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-        except (OSError, AttributeError):
-            return None
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        pairs.append((get, set_))
-    return tuple(pairs)
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS; None if it is missing."""
+    pattern, get_name, set_name = _OPENBLAS
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    paths = glob.glob(os.path.join(site, "numpy.libs", pattern))
+    if len(paths) != 1:
+        return None
+    try:
+        lib = ctypes.CDLL(paths[0])
+        get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
 
 
-def map_two(fn, n: int) -> list:
-    """[fn(0), ..., fn(n - 1)] on the two compute threads, with BLAS held at one thread.
+def run_two(fn, n: int) -> list:
+    """[fn(0), ..., fn(n - 1)] on the two compute threads.
 
-    For work that spends its time in LAPACK, which releases the GIL. Both
-    threads take the next index from one counter and store each result at
-    its index, so the list does not depend on which thread ran what. Runs
-    serially for fewer than two indices, on one compute thread, when the
-    pool thread is lent, or when a bundled OpenBLAS copy cannot be held.
+    Both threads take the next index from one counter and store each result
+    at its index, so the list does not depend on which thread ran what.
+    Runs serially for fewer than two indices, on one compute thread, or when
+    the pool thread is lent.
     """
-    libs = _openblas() if n > 1 else None
-    if libs is not None:
+    if n > 1:
         with borrow() as pool:
             if pool is not None:
-                before = [get() for get, _ in libs]
-                for _, set_ in libs:
-                    set_(1)
-                try:
-                    return _on_two_threads(fn, n, pool)
-                finally:
-                    for (_, set_), count in zip(libs, before):
-                        set_(count)
+                return _on_two_threads(fn, n, pool)
     return [fn(i) for i in range(n)]
 
 
-def _on_two_threads(fn, n: int, pool) -> list:
-    """``map_two``'s threaded loop; raises the exception a serial loop would raise.
+def map_two(fn, n: int) -> list:
+    """``run_two`` with numpy's OpenBLAS held at one thread, for LAPACK-bound work.
 
-    After a raise no thread takes a new index, each finishes the one it
-    holds, and the exception of the lowest failing index is raised. Every
-    lower index was taken before it and has completed.
+    LAPACK releases the GIL, so two such calls run at once. Only the holder
+    of the pool thread holds BLAS, so a nested or concurrent call leaves the
+    count alone. Runs serially as ``run_two`` does, and when the library
+    cannot be held.
+    """
+    blas = _openblas() if n > 1 else None
+    with borrow() as pool:
+        if pool is None or blas is None:
+            return [fn(i) for i in range(n)]
+        get, set_ = blas
+        before = get()
+        set_(1)
+        try:
+            return _on_two_threads(fn, n, pool)
+        finally:
+            set_(before)
+
+
+def _on_two_threads(fn, n: int, pool) -> list:
+    """The threaded loop of ``run_two`` and ``map_two``; raises what a serial loop would raise.
+
+    The pool thread runs under the caller's numpy error state. After a raise
+    no thread takes a new index, each finishes the one it holds, and the
+    exception of the lowest failing index is raised. Every lower index was
+    taken before it and has completed.
     """
     results = [None] * n
     failed = {}
@@ -143,7 +153,7 @@ def _on_two_threads(fn, n: int, pool) -> list:
                 failed[i] = exc
                 stop.set()
 
-    other = pool.submit(work)
+    other = pool.submit(np.errstate(**np.geterr())(work))
     try:
         work()
     finally:
@@ -155,11 +165,12 @@ def _on_two_threads(fn, n: int, pool) -> list:
 
 
 def _after_fork_in_child():
-    # the child has none of the parent's threads: one compute thread, and
-    # one BLAS thread per copy, so the child uses one core
+    # the child has none of the parent's threads: one compute thread and one
+    # BLAS thread, so the child uses one core
     _THREADS.count, _THREADS.executor, _THREADS.lock = 1, None, threading.Lock()
-    for _, set_ in _openblas() or ():
-        set_(1)
+    blas = _openblas()
+    if blas is not None:
+        blas[1](1)
 
 
 if hasattr(os, "register_at_fork"):

@@ -155,6 +155,16 @@ class GapStatistic(NamedTuple):
     right: float
 
 
+def _distinct_sorted_sample(sample) -> np.ndarray:
+    """The sample sorted ascending; raises unless it has n >= 3 distinct values."""
+    xs = np.sort(np.asarray(sample, dtype=float).ravel())
+    if xs.size < 3:
+        raise SizeMismatch("need n >= 3")
+    if np.any(np.diff(xs) == 0.0):
+        raise DuplicateValues("sample values must be distinct")
+    return xs
+
+
 def extremal_gap_statistic(sample) -> GapStatistic:
     """Scaled extremal zero/critical gaps: n*log(n)*(eta_min - x_min) and
     n*log(n)*(x_max - eta_max).
@@ -166,15 +176,9 @@ def extremal_gap_statistic(sample) -> GapStatistic:
     grows like log(n)**2. Dividing it by log(n)**2 gives the (n/log n) scale,
     (n/log n)*(x_max - eta_max), which tends to 1.
     """
-    x = np.asarray(sample, dtype=float).ravel()
-    n = x.size
-    if n < 3:
-        raise SizeMismatch("need n >= 3")
-    xs = np.sort(x)
-    if np.any(np.diff(xs) == 0.0):
-        raise DuplicateValues("sample values must be distinct")
+    xs = _distinct_sorted_sample(sample)
     lo, hi = interlaced_extremes(xs)
-    scale = n * math.log(n)
+    scale = xs.size * math.log(xs.size)
     return GapStatistic(scale * (lo - xs[0]), scale * (xs[-1] - hi))
 
 
@@ -188,14 +192,8 @@ def extremal_gap_surrogate(sample) -> GapStatistic:
     likewise grows like log(n)**2; divide it by log(n)**2 for the (n/log n)
     scale.
     """
-    x = np.asarray(sample, dtype=float).ravel()
-    n = x.size
-    if n < 3:
-        raise SizeMismatch("need n >= 3")
-    xs = np.sort(x)
-    if np.any(np.diff(xs) == 0.0):
-        raise DuplicateValues("sample values must be distinct")
-    scale = n * math.log(n)
+    xs = _distinct_sorted_sample(sample)
+    scale = xs.size * math.log(xs.size)
     left = scale / float(np.sum(1.0 / (xs[1:] - xs[0])))
     right = scale / float(np.sum(1.0 / (xs[-1] - xs[:-1])))
     return GapStatistic(left, right)

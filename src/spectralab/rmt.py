@@ -429,12 +429,15 @@ def sample_product_ensemble(rng, n: int, epsilons: Sequence[int]) -> SpectrumSam
 
 def spherical_weight(z: complex, n: int) -> float:
     """Unnormalized eigenvalue weight (1+|z|^2)^{-(n+1)} of the inverse-pair ensemble."""
-    return float((1.0 + abs(complex(z)) ** 2) ** (-(n + 1)))
+    r = abs(complex(z))
+    return float((1.0 + r * r) ** (-(n + 1)))
 
 
 def spherical_intensity(z: complex, n: int) -> float:
     """1-point intensity (n/pi) (1+|z|^2)^{-2}; integrates to n over the plane."""
-    return float(n / math.pi / (1.0 + abs(complex(z)) ** 2) ** 2)
+    r = abs(complex(z))
+    d = 1.0 + r * r
+    return float(n / math.pi / (d * d))
 
 
 class RealEigEstimate(NamedTuple):

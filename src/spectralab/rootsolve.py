@@ -22,17 +22,17 @@ P'/P'' shrinks only linearly.
 
 A sweep is Jacobi-style, every point's sums depending only on the previous
 iterate, which is the independence MPSolve's parallel sweeps use (Bini &
-Robol, JCAM 2014). So when a block grid is large, one half of the rows runs
-on the calling thread and the other half on the pool thread borrowed from
-``compute``, which owns the process's compute threads: two, or one when the
-process may use only one core or the pool thread is already busy, as it is
-while the experiment runner runs trials on it. No BLAS call runs under these
-threads, because OpenBLAS's own workers spin after a call and take the
-second core. On the n = 1600 sums of P'/P and P''/P (medians of 21 runs,
-2 vCPUs): gemv on 64-row blocks took 44 ms serial and 41 ms split over two
-threads; ``np.add.reduce`` rows took 31 ms serial and 18 ms on two threads;
-gemv on two threads with OPENBLAS_NUM_THREADS=1 took 18 ms. Each row is
-reduced on its own, so results do not depend on the thread count.
+Robol, JCAM 2014). So when a block grid is large, its two halves of rows go
+to ``compute.run_two``, which runs them on the process's two compute
+threads, or one after the other when the process may use only one core or
+the pool thread is already busy, as it is while the experiment runner runs
+trials on it. No BLAS call runs under these threads, because OpenBLAS's
+own workers spin after a call and take the second core. On the n = 1600
+sums of P'/P and P''/P (medians of 21 runs, 2 vCPUs): gemv on 64-row blocks
+took 44 ms serial and 41 ms split over two threads; ``np.add.reduce`` rows
+took 31 ms serial and 18 ms on two threads; gemv on two threads with
+OPENBLAS_NUM_THREADS=1 took 18 ms. Each row is reduced on its own, so
+results do not depend on the thread count or on the block height.
 
 Real-rooted polynomials get a bracketed fast path: Rolle's theorem puts
 exactly one critical point strictly between consecutive distinct roots, where
@@ -49,7 +49,7 @@ from functools import partial
 
 import numpy as np
 
-from .compute import borrow
+from .compute import run_two
 from .errors import DegenerateInput, NoConvergence
 from .polycore import RootPoly
 
@@ -81,7 +81,6 @@ class RootFindReport:
     roots: np.ndarray
     residuals: np.ndarray
     iterations: int
-    converged: bool
 
 
 def _horner_pair(coeffs: np.ndarray, z: np.ndarray):
@@ -153,7 +152,7 @@ def solve_all(coeffs) -> RootFindReport:
     if res.max() > TOL_ROOT:
         raise NoConvergence(
             f"polished companion residual {res.max():.3e} exceeds {TOL_ROOT:.1e}")
-    return RootFindReport(z, res, 1, True)
+    return RootFindReport(z, res, 1)
 
 
 def _log_deriv_sums(w: np.ndarray, values: np.ndarray, cnt: np.ndarray):
@@ -182,38 +181,24 @@ def _row_blocks(block, lo: int, hi: int, bufs) -> None:
         block(a, b, *(buf[:b - a] for buf in bufs))
 
 
-def _row_blocks_under(err: dict, *args) -> None:
-    """_row_blocks(*args) under the numpy error state ``err``, which is per thread."""
-    with np.errstate(**err):
-        _row_blocks(*args)
-
-
 def _over_rows(block, nrows: int, ncols: int, *dtypes) -> None:
     """Run ``block`` over the rows [0, nrows) in blocks, on two threads when the grid is large.
 
     One work array per dtype is allocated by the calling thread, so that no
     worker thread grows its own heap. A grid of nrows x ncols below
-    _THREAD_GRID is one block. A larger one runs in blocks of _BLOCK_ROWS;
-    when the pool thread of ``compute`` can be borrowed, it takes the upper
-    half of the rows with the lower half of every buffer, and the caller
-    takes the rest, each in half-height blocks. The kernels run under the
-    caller's numpy error state, on both threads.
+    _THREAD_GRID is one block. A larger one runs in two parts through
+    ``compute.run_two``: the lower half of the rows with the lower half of
+    every buffer, and the upper half with the upper half, each part in
+    half-height blocks.
     """
     if nrows * ncols < _THREAD_GRID:
         _row_blocks(block, 0, nrows, [np.empty((max(nrows, 1), ncols), dt) for dt in dtypes])
         return
     bufs = [np.empty((_BLOCK_ROWS, ncols), dt) for dt in dtypes]
-    with borrow() as pool:
-        if pool is None:
-            _row_blocks(block, 0, nrows, bufs)
-            return
-        half, mid = _BLOCK_ROWS // 2, nrows // 2
-        upper = pool.submit(_row_blocks_under, np.geterr(), block, mid, nrows,
-                            [buf[half:] for buf in bufs])
-        try:
-            _row_blocks(block, 0, mid, [buf[:half] for buf in bufs])
-        finally:
-            upper.result()
+    half, mid = _BLOCK_ROWS // 2, nrows // 2
+    parts = ((0, mid, [buf[:half] for buf in bufs]),
+             (mid, nrows, [buf[half:] for buf in bufs]))
+    run_two(lambda i: _row_blocks(block, *parts[i]), 2)
 
 
 def _row_log_deriv_sums(w: np.ndarray, poles: np.ndarray):
@@ -360,7 +345,7 @@ def critical_points(p: RootPoly, *, max_iter: int = MAX_ITER) -> RootFindReport:
     values, counts = np.unique(roots, return_counts=True)
     fixed = np.repeat(values, counts - 1)
     if values.size == 1:
-        return RootFindReport(fixed, np.zeros(n - 1), 0, True)
+        return RootFindReport(fixed, np.zeros(n - 1), 0)
 
     centroid = roots.mean()
     drop = int(np.argmin(np.abs(values - centroid)))
@@ -392,7 +377,7 @@ def critical_points(p: RootPoly, *, max_iter: int = MAX_ITER) -> RootFindReport:
                 if worst <= NEWTON_TOL:
                     return RootFindReport(np.concatenate([fixed, w]),
                                           np.concatenate([np.zeros(fixed.size), steps]),
-                                          it, True)
+                                          it)
                 active = np.flatnonzero(steps > NEWTON_TOL)
                 continue
             wa = w[active]

@@ -10,6 +10,7 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spectralab.compute as compute
@@ -24,24 +25,24 @@ def two_threads(monkeypatch):
 
 
 def blas_threads():
-    """Thread count of each bundled OpenBLAS copy, numpy's then scipy's."""
-    return [get() for get, _ in compute._openblas()]
+    """Thread count of numpy's bundled OpenBLAS."""
+    get, _ = compute._openblas()
+    return get()
 
 
 @pytest.fixture
 def blas():
-    """Both bundled OpenBLAS copies at two threads for the test, then as they were."""
-    libs = compute._openblas()
-    if libs is None:
-        pytest.skip("no bundled OpenBLAS copies to hold")
+    """numpy's bundled OpenBLAS at two threads for the test, then as it was."""
+    lib = compute._openblas()
+    if lib is None:
+        pytest.skip("no bundled OpenBLAS to hold")
+    _, set_ = lib
     before = blas_threads()
-    for _, set_ in libs:
-        set_(2)
+    set_(2)
     try:
         yield
     finally:
-        for (_, set_), count in zip(libs, before):
-            set_(count)
+        set_(before)
 
 
 def patch_trial(monkeypatch, name, wrap):
@@ -137,6 +138,22 @@ class TestMapTwo:
         assert sorted(calls) == list(range(20000))
         assert results == [i * i for i in range(20000)]
 
+    @pytest.mark.parametrize("state", ["raise", "ignore"])
+    def test_pool_thread_trial_runs_under_the_callers_error_state(self, two_threads, blas,
+                                                                  state):
+        # numpy's error state is per thread, "warn" by default; trials 0 and 1
+        # wait for each other, so one of them runs on the pool thread
+        meet = threading.Barrier(2, timeout=30)
+
+        def trial(i):
+            meet.wait()
+            return threading.current_thread().name, np.geterr()["divide"]
+
+        with np.errstate(divide=state):
+            results = compute.map_two(trial, 2)
+        assert any(name.startswith("spectralab-compute") for name, _ in results)
+        assert [divide for _, divide in results] == [state, state]
+
 
 class TestBlasHold:
     def test_held_at_one_during_trials_and_restored(self, two_threads, blas, monkeypatch,
@@ -155,8 +172,8 @@ class TestBlasHold:
         run_experiment(ExperimentConfig("ginibre-intensity", 7, 6, {"n": 12}, tmp_path))
         assert len(seen) == 6
         assert len({ident for ident, _ in seen}) == 2
-        assert all(counts == [1, 1] for _, counts in seen)
-        assert blas_threads() == [2, 2]
+        assert all(count == 1 for _, count in seen)
+        assert blas_threads() == 2
 
     def test_restored_after_a_trial_raises(self, two_threads, blas, monkeypatch, tmp_path):
         def wrap(t, trial):
@@ -167,14 +184,14 @@ class TestBlasHold:
         patch_trial(monkeypatch, "poisson-limit", wrap)
         with pytest.raises(NoConvergence):
             run_experiment(ExperimentConfig("poisson-limit", 7, 6, {"n": 10}, tmp_path))
-        assert blas_threads() == [2, 2]
+        assert blas_threads() == 2
 
     def test_forked_worker_computes_on_one_blas_thread(self, blas):
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
             child = pool.submit(blas_threads).result(timeout=60)
-        assert child == [1, 1]
-        assert blas_threads() == [2, 2]
+        assert child == 1
+        assert blas_threads() == 2
 
     def test_missing_library_runs_serially_with_equal_rows(self, two_threads, monkeypatch,
                                                            tmp_path):

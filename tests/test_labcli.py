@@ -216,6 +216,21 @@ class TestLazyScipy:
         """)
         run_fresh_python(script)
 
+    def test_no_experiment_loads_scipy_on_two_threads(self):
+        # with two compute threads and more than one trial, map_two looks up
+        # and holds numpy's bundled OpenBLAS, which must not load scipy either
+        script = textwrap.dedent(f"""
+            import sys
+            import spectralab.compute as compute
+            from spectralab.labcli import ExperimentConfig, run_experiment
+
+            compute._THREADS.count = 2
+            for name, params in sorted({SMALL_PARAMS!r}.items()):
+                run_experiment(ExperimentConfig(name, 7, 3, params))
+                assert "scipy" not in sys.modules, name
+        """)
+        run_fresh_python(script)
+
 
 class TestRegistry:
     def test_all_experiments_registered(self):

@@ -382,6 +382,21 @@ class TestSpherical:
         n = 7
         assert spherical_weight(0.0, n) / spherical_weight(1.0, n) == pytest.approx(2 ** (n + 1))
 
+    @pytest.mark.parametrize("z", [1.4e154, 1e78, 1e200, -1e200j])
+    def test_far_points_underflow_to_zero(self, z):
+        assert spherical_weight(z, 3) == 0.0
+        assert spherical_intensity(z, 3) == 0.0
+
+    @pytest.mark.parametrize("n", [3, 9])
+    @pytest.mark.parametrize("z", [0.5, 7.0, 3 + 4j, 1e3, 1e10])
+    def test_within_one_ulp_of_mpmath(self, z, n):
+        # |z| is exact in double here, so only the functions' own roundings count
+        with mpmath.workdps(40):
+            d = 1 + mpmath.mpf(abs(z)) ** 2
+            refs = [d ** -(n + 1), n / mpmath.pi / d ** 2]
+            for got, ref in zip((spherical_weight(z, n), spherical_intensity(z, n)), refs):
+                assert abs(got - ref) <= math.ulp(float(ref))
+
 
 class TestRealEigenvalues:
     def test_single_gaussian_matrix(self):

@@ -33,7 +33,6 @@ from spectralab.rootsolve import (
 class TestSolveAll:
     def test_difference_of_squares(self):
         rep = solve_all([-1, 0, 1])
-        assert rep.converged
         assert_multiset_close(rep.roots, [-1, 1], 1e-12)
 
     def test_quadratic_formula(self):
@@ -68,7 +67,6 @@ class TestSolveAll:
     def test_spread_coefficients_give_no_false_roots(self, n):
         # 1 + 2z + ... + n z^(n-1) has every root in the unit disk
         rep = solve_all(np.arange(1.0, n + 1.0))
-        assert rep.converged
         assert rep.residuals.max() <= TOL_ROOT
         assert np.abs(rep.roots).max() <= 1.0 + 1e-9
 
@@ -81,7 +79,6 @@ class TestSolveAll:
                 rep = solve_all(coeffs)
             except NoConvergence:
                 continue
-            assert rep.converged
             assert rep.residuals.max() <= TOL_ROOT
             certified.append(i)
         assert not set(SCALED_CERTIFIED_BEFORE) - set(certified)
@@ -136,7 +133,6 @@ class TestCriticalPoints:
         n = 300
         roots = np.exp(2j * np.pi * rng.random(n))
         rep = critical_points(RootPoly(roots))
-        assert rep.converged
         s1 = np.abs((1.0 / (rep.roots[:, None] - roots[None, :])).sum(axis=1))
         assert s1.max() < 1e-6
         # all inside the closed unit disk, as the hull demands
@@ -175,7 +171,7 @@ class TestDeflation:
         for name in rows:
             monkeypatch.setattr(rootsolve, name, counting(name))
         rep = critical_points(RootPoly(thm1_roots(1600)))
-        assert rep.converged and rep.roots.size == 1599
+        assert rep.roots.size == 1599
         assert rows["_log_deriv_sums"] == [] and rows["_row_log_deriv_sums"]
         assert sum(rows["_row_log_deriv_sums"]) <= self.FULL_SWEEP_ROWS // 2
         # each point froze only after one more correction, so its certificate
@@ -196,7 +192,7 @@ class TestDeflation:
         walsh = _walsh_roots(RngStream(42, stream_id_for("walsh-clusters", 0)),
                              {"k": 2, **WALSH})[1]
         for roots in (thm1_roots(1600), walsh):
-            assert critical_points(RootPoly(roots)).converged
+            critical_points(RootPoly(roots))
         assert sizes and min(sizes) > 0
 
     def test_max_iter_three_raises(self):
@@ -209,7 +205,6 @@ class TestDeflation:
     ], ids=["triple-at-0", "double-at-half"])
     def test_multiple_critical_points_converge(self, roots, expected, tol):
         rep = critical_points(RootPoly(roots))
-        assert rep.converged
         assert rep.residuals.max() <= NEWTON_TOL
         assert_multiset_close(rep.roots, expected, tol)
 
@@ -315,15 +310,18 @@ class TestRowThreads:
     @pytest.mark.parametrize("state", ["raise", "ignore"])
     def test_pool_half_runs_under_the_callers_error_state(self, threads, state):
         # numpy's error state is per thread: the pool thread must take the
-        # caller's. Only rows of the pool's upper half divide by zero.
+        # caller's. Every row divides by zero, and the first blocks of the two
+        # halves wait for each other, so each half runs on its own thread.
         threads(2)
         nrows, names = 256, set()
+        meet = threading.Barrier(2, timeout=30)
 
         def block(lo, hi, buf):
             names.add(threading.current_thread().name)
+            if lo in (0, nrows // 2):
+                meet.wait()
             buf[:] = 1.0
-            if lo >= nrows // 2:
-                buf[:, 0] = 0.0
+            buf[:, 0] = 0.0
             np.reciprocal(buf, out=buf)
 
         def run():
@@ -346,8 +344,8 @@ class TestRowThreads:
             for t in range(5):
                 stream = RngStream(42, stream_id_for("walsh-clusters", t))
                 roots = _walsh_roots(stream, {"k": k, **WALSH})[1]
-                assert critical_points(RootPoly(roots)).converged
-        assert critical_points(RootPoly(DOUBLE_CRIT_ROOTS)).converged
+                critical_points(RootPoly(roots))
+        critical_points(RootPoly(DOUBLE_CRIT_ROOTS))
         # the stub does catch a solve that wants the pool
         with pytest.raises(ThreadPoolStarted):
             critical_points(RootPoly(thm1_roots(1600)))
@@ -368,7 +366,6 @@ class TestRowThreads:
             compute._THREADS.count = 2
             roots = _thm1_roots(RngStream(42, stream_id_for("thm1-convergence", 0)), 1600)
             parent = rootsolve.critical_points(RootPoly(roots))
-            assert parent.converged
             assert compute._THREADS.executor is not None
 
             def solve_again():
@@ -549,7 +546,6 @@ class TestInvariants:
             n = int(rng.integers(1, 31))
             roots = rng.normal(size=n) + 1j * rng.normal(size=n)
             rep = solve_all(expand_coefficients(RootPoly(roots)))
-            assert rep.converged
             assert rep.residuals.max() <= TOL_ROOT
             assert_multiset_close(rep.roots, roots, 1e-6)
 
@@ -576,7 +572,6 @@ class TestAgainstDifferentiator:
     @staticmethod
     def check(roots):
         rep = critical_points(RootPoly(roots))
-        assert rep.converged
         assert rep.residuals.max() <= NEWTON_TOL
         assert_multiset_close(rep.roots, differentiator_eigenvalues(roots), 1e-8)
         assert np.all(convex_hull_contains(roots, rep.roots, 1e-9))
