@@ -65,7 +65,6 @@ __all__ = [
 TOL_ROOT = 1e-12
 NEWTON_TOL = 1e-11
 MAX_ITER = 200
-_STALL_SWEEPS = 10
 _BLOCK_ROWS = 64
 # degree from which critical_points sums P'/P and P''/P by row kernels: one
 # thread of them ties gemv at degree 80 (2.10 vs 2.12 ms) and wins from there
@@ -333,8 +332,9 @@ def critical_points(p: RootPoly, *, max_iter: int = MAX_ITER) -> RootFindReport:
     sweep evaluates the Newton step of every point at its final position;
     any point above NEWTON_TOL goes back to the active set. ``residuals``
     holds the certified steps (0 for the fixed points). Raises NoConvergence
-    when the iteration stalls or runs out of sweeps first, DegenerateInput
-    when a root is not finite or the degree is below 2.
+    after ``max_iter`` sweeps without a passing certification sweep, which
+    is the iteration's only stop, DegenerateInput when a root is not finite
+    or the degree is below 2.
     """
     if p.degree < 2:
         raise DegenerateInput("degree >= 2 required")
@@ -361,9 +361,6 @@ def critical_points(p: RootPoly, *, max_iter: int = MAX_ITER) -> RootFindReport:
     sums = _sums_kernel(values, counts)
     poles = np.repeat(values, counts)
     active = np.arange(w.size)
-    best_step = math.inf
-    best_moving = w.size + 1
-    stalled = 0
     it, worst = 0, math.inf
     # one error state for every kernel of the sweeps: a point on a pole, or
     # P'' = 0, gives a step that the isfinite tests below replace
@@ -395,22 +392,7 @@ def critical_points(p: RootPoly, *, max_iter: int = MAX_ITER) -> RootFindReport:
             corr = newton / (1.0 - newton * _row_repulsion(wa, np.concatenate([w[frozen], fixed])))
             corr = np.where(np.isfinite(corr), corr, newton)
             w[active] = wa - corr
-            moved = np.abs(corr) / (1.0 + np.abs(w[active]))
             active = active[~freeze]
-            if not active.size:
-                continue
-            # progress = fewer points still moving, or a smaller largest move
-            last_step = float(moved.max())
-            moving = int(np.sum(moved > NEWTON_TOL))
-            if moving < best_moving or (moving == best_moving
-                                        and last_step < best_step * (1.0 - 1e-3)):
-                best_moving = moving
-                best_step = min(best_step, last_step)
-                stalled = 0
-            else:
-                stalled += 1
-                if stalled >= _STALL_SWEEPS:
-                    break
     raise NoConvergence(f"critical-point iteration stopped after {it} sweeps "
                         f"at Newton step {worst:.3e}")
 

@@ -8,8 +8,11 @@ import threading
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_multiset_close
 import spectralab.compute as compute
@@ -227,6 +230,81 @@ class TestDeflation:
         inv = 1.0 / (w[:, None] - roots[None, :])
         s1, s2 = inv.sum(axis=1), (inv * inv).sum(axis=1)
         assert np.max(np.abs(s1 / (s1 * s1 - s2)) / (1.0 + np.abs(w))) <= NEWTON_TOL
+
+
+def newton_polish_mp(w, roots):
+    """Newton on P'/P'' from w at 60 digits, with the sums taken over the roots."""
+    with mpmath.workdps(60):
+        r = [mpmath.mpc(x) for x in roots]
+        z = mpmath.mpc(w)
+        for _ in range(100):
+            s1 = mpmath.fsum(1 / (z - x) for x in r)
+            s2 = mpmath.fsum(1 / (z - x) ** 2 for x in r)
+            step = s1 / (s1 * s1 - s2)
+            z -= step
+            if abs(step) <= mpmath.mpf(10) ** -55 * abs(z):
+                return z
+    raise AssertionError(f"60-digit Newton polish from {w} did not settle")
+
+
+def tight_pairs():
+    """Four shapes, each with a root pair d apart, for d = 1e-2 ... 1e-14."""
+    for k in range(2, 15):
+        d = 10.0 ** -k
+        shapes = {"real": [0, d, 1, 2], "real-pairs": [0, d, 1, 1 + d],
+                  "imag-pairs": [0, d, 1j, 1j + d],
+                  "three-pairs": [0, d, 1, 1 + d, 2, 2 + d]}
+        for name, roots in shapes.items():
+            marks = ()
+            if name == "imag-pairs" and k == 9:
+                # the two start points beside the pair at 0 mirror each other
+                # about Re z = 5e-10 and orbit the critical point near i, while
+                # the one near 0.5i is never claimed: still unconverged after
+                # 1000 sweeps, where d = 1e-8 and 1e-10 certify in 55 and 58
+                marks = pytest.mark.xfail(strict=True, raises=NoConvergence,
+                                          reason="start-point symmetry trap at "
+                                                 "{0, 1e-9, i, i + 1e-9}")
+            yield pytest.param(np.array(roots, dtype=complex), marks=marks,
+                               id=f"{name}-1e-{k:02d}")
+
+
+@pytest.mark.parametrize("roots", tight_pairs())
+def test_tight_root_pair_certifies(roots):
+    # the repulsion pushes the two start points beside a tight pair apart by
+    # about x3 a sweep, a growing move, before they converge: up to 67 sweeps
+    rep = critical_points(RootPoly(roots))
+    assert rep.residuals.max() <= NEWTON_TOL
+    ref = [newton_polish_mp(w, roots) for w in rep.roots.tolist()]
+    # measured worst 1.2e-16
+    for w, z in zip(rep.roots.tolist(), ref):
+        assert abs(w - z) <= 1e-15 * abs(z)
+    with mpmath.workdps(60):
+        gaps = [abs(a - b) for i, a in enumerate(ref) for b in ref[i + 1:]]
+        assert min(gaps) > 1e-30 * max(abs(z) for z in ref)
+
+
+HALF_GRID = st.integers(-4, 4).map(lambda m: m / 2)
+
+
+@st.composite
+def grid_with_near_copy(draw):
+    """2-6 distinct points of the half-integer grid of [-2, 2]^2, plus a copy
+    of one of them offset by 10^-k u, k in 2..14, u in {1, i, e^(i pi/4)}."""
+    base = draw(st.lists(st.builds(complex, HALF_GRID, HALF_GRID),
+                         min_size=2, max_size=6, unique=True))
+    k = draw(st.integers(2, 14))
+    u = draw(st.sampled_from([1, 1j, complex(math.sqrt(0.5), math.sqrt(0.5))]))
+    return np.array(base + [draw(st.sampled_from(base)) + 10.0 ** -k * u])
+
+
+@given(grid_with_near_copy())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_near_coincident_roots_certify(roots):
+    rep = critical_points(RootPoly(roots))
+    assert rep.residuals.max() <= NEWTON_TOL
+    n = roots.size
+    vieta = abs(rep.roots.sum() - (n - 1) / n * roots.sum())
+    assert vieta <= 1e-9 * (1 + np.abs(roots).sum())
 
 
 def small_degree_inputs():
