@@ -2,24 +2,24 @@
 
 There are min(2, cores this process may run on) compute threads, and there
 is no option. The pool thread is created on first use and, like BLAS's own
-threads, belongs to the process. This module alone hands it work:
-``run_two`` splits indices over the two threads, for ``rootsolve``'s row
-kernels (two halves of the rows of a large sweep), and ``map_two`` does the
-same for the experiment runner's trials. The pool thread is not reentrant:
-a nested or concurrent split finds it lent and runs on the calling thread.
-So a trial on the pool thread that reaches a row kernel sums its rows
-itself instead of waiting on its own busy pool. numpy's error state is per
-thread, so the pool thread runs under the caller's.
+threads, belongs to the process. Only ``run_two`` hands it work, splitting
+indices over the two threads: the two halves of the rows of a large
+``rootsolve`` sweep, and through ``map_two`` the experiment runner's trials.
+The pool thread is not reentrant: a nested or concurrent split finds it
+lent and runs on the calling thread. So a trial on the pool thread that
+reaches a row kernel sums its rows itself instead of waiting on its own busy
+pool. numpy's error state is per thread, so the pool thread runs under the
+caller's.
 
-While ``map_two`` runs, numpy's bundled OpenBLAS, the only BLAS the lab
-calls, is held at one thread, then set back: OpenBLAS's own workers spin
-after a call and take the second core, so without the hold two trial
-threads are no faster than one. The library is looked up on first use; if
-it or a symbol is missing, the trials run serially. A child forked from the
-process (by any caller) gets one compute thread and one BLAS thread: it has
-none of the parent's threads, so a row kernel there must not wait on them.
+While ``run_two`` holds the pool thread it holds numpy's bundled OpenBLAS,
+the only BLAS the lab calls, at one thread, then sets it back: OpenBLAS's
+own workers spin after a call and take the second core, so unheld, two trial
+threads are slower than one. The library is looked up on first use; if it
+or a symbol is missing, ``run_two`` splits unheld and ``map_two`` runs
+serially. A child forked from the process (by any caller) gets one compute
+thread and one BLAS thread: it has none of the parent's threads, so a row
+kernel there must not wait on them.
 """
-
 from __future__ import annotations
 
 import ctypes
@@ -27,8 +27,8 @@ import functools
 import glob
 import os
 import threading
+import types
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -39,38 +39,8 @@ __all__ = ["map_two", "run_two"]
 _OPENBLAS = ("libscipy_openblas64_*.so",
              "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
 
-
-class _ComputeThreads:
-    """The thread count, the lazily created pool thread, and the borrow lock."""
-
-    def __init__(self):
-        self.count = None  # resolved on first use
-        self.executor = None
-        self.lock = threading.Lock()
-
-    @contextmanager
-    def borrow(self):
-        """The pool thread's executor, or None when there is one compute thread or it is lent."""
-        if self.count is None:
-            try:
-                cores = len(os.sched_getaffinity(0))
-            except AttributeError:  # a platform without CPU affinity
-                cores = os.cpu_count() or 1
-            self.count = min(2, cores)
-        if self.count < 2 or not self.lock.acquire(blocking=False):
-            yield None
-            return
-        try:
-            if self.executor is None:
-                self.executor = ThreadPoolExecutor(max_workers=1,
-                                                   thread_name_prefix="spectralab-compute")
-            yield self.executor
-        finally:
-            self.lock.release()
-
-
-_THREADS = _ComputeThreads()
-borrow = _THREADS.borrow
+# count is resolved on first use, executor is the lazily created pool thread
+_THREADS = types.SimpleNamespace(count=None, executor=None, lock=threading.Lock())
 
 
 @functools.cache
@@ -92,49 +62,25 @@ def _openblas():
 
 
 def run_two(fn, n: int) -> list:
-    """[fn(0), ..., fn(n - 1)] on the two compute threads.
+    """[fn(0), ..., fn(n - 1)] on the two compute threads; raises what a serial loop would raise.
 
     Both threads take the next index from one counter and store each result
     at its index, so the list does not depend on which thread ran what.
     Runs serially for fewer than two indices, on one compute thread, or when
-    the pool thread is lent.
+    the pool thread is lent. While both threads run, numpy's OpenBLAS is
+    held at one thread, if it is found. The pool thread runs under the
+    caller's numpy error state. After a raise no thread takes a new index,
+    each finishes the one it holds, and the exception of the lowest failing
+    index is raised. Every lower index was taken before it and has completed.
     """
-    if n > 1:
-        with borrow() as pool:
-            if pool is not None:
-                return _on_two_threads(fn, n, pool)
-    return [fn(i) for i in range(n)]
-
-
-def map_two(fn, n: int) -> list:
-    """``run_two`` with numpy's OpenBLAS held at one thread, for LAPACK-bound work.
-
-    LAPACK releases the GIL, so two such calls run at once. Only the holder
-    of the pool thread holds BLAS, so a nested or concurrent call leaves the
-    count alone. Runs serially as ``run_two`` does, and when the library
-    cannot be held.
-    """
-    blas = _openblas() if n > 1 else None
-    with borrow() as pool:
-        if pool is None or blas is None:
-            return [fn(i) for i in range(n)]
-        get, set_ = blas
-        before = get()
-        set_(1)
+    if _THREADS.count is None:
         try:
-            return _on_two_threads(fn, n, pool)
-        finally:
-            set_(before)
-
-
-def _on_two_threads(fn, n: int, pool) -> list:
-    """The threaded loop of ``run_two`` and ``map_two``; raises what a serial loop would raise.
-
-    The pool thread runs under the caller's numpy error state. After a raise
-    no thread takes a new index, each finishes the one it holds, and the
-    exception of the lowest failing index is raised. Every lower index was
-    taken before it and has completed.
-    """
+            cores = len(os.sched_getaffinity(0))
+        except AttributeError:  # a platform without CPU affinity
+            cores = os.cpu_count() or 1
+        _THREADS.count = min(2, cores)
+    if n < 2 or _THREADS.count < 2 or not _THREADS.lock.acquire(blocking=False):
+        return [fn(i) for i in range(n)]
     results = [None] * n
     failed = {}
     indices = iter(range(n))
@@ -142,6 +88,8 @@ def _on_two_threads(fn, n: int, pool) -> list:
     stop = threading.Event()
 
     def work():
+        # a pool thread that starts late finds the indices taken: the caller
+        # steals them, so a late start costs no more than the serial loop
         while not stop.is_set():
             with take:
                 i = next(indices, n)
@@ -153,15 +101,38 @@ def _on_two_threads(fn, n: int, pool) -> list:
                 failed[i] = exc
                 stop.set()
 
-    other = pool.submit(np.errstate(**np.geterr())(work))
+    blas = _openblas()
+    before = blas[0]() if blas is not None else None
     try:
-        work()
+        if _THREADS.executor is None:
+            _THREADS.executor = ThreadPoolExecutor(max_workers=1,
+                                                   thread_name_prefix="spectralab-compute")
+        if blas is not None:
+            blas[1](1)
+        other = _THREADS.executor.submit(np.errstate(**np.geterr())(work))
+        try:
+            work()
+        finally:
+            stop.set()  # an interrupt on the caller stops the pool thread too
+            other.result()
     finally:
-        stop.set()  # an interrupt on the caller stops the pool thread too
-        other.result()
+        if blas is not None:
+            blas[1](before)
+        _THREADS.lock.release()
     if failed:
         raise failed[min(failed)]
     return results
+
+
+def map_two(fn, n: int) -> list:
+    """``run_two`` for LAPACK-bound work, or the serial loop when OpenBLAS cannot be held.
+
+    LAPACK releases the GIL, so two such calls run at once, but only with
+    OpenBLAS held at one thread: unheld, two threads were slower than one.
+    """
+    if n > 1 and _openblas() is not None:
+        return run_two(fn, n)
+    return [fn(i) for i in range(n)]
 
 
 def _after_fork_in_child():

@@ -115,7 +115,8 @@ class ExperimentDef:
     0's spectrum for scatter.svg; without it svg=1 writes no scatter.
     lapack_bound marks trials that spend their time inside LAPACK, which
     releases the GIL: the runner runs them two at a time on the process's
-    compute threads (``compute.map_two``).
+    compute threads (``compute.map_two``), with OpenBLAS held at one
+    thread, or serially when OpenBLAS cannot be held.
     """
 
     name: str

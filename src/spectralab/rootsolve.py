@@ -27,7 +27,8 @@ to ``compute.run_two``, which runs them on the process's two compute
 threads, or one after the other when the process may use only one core or
 the pool thread is already busy, as it is while the experiment runner runs
 trials on it. No BLAS call runs under these threads, because OpenBLAS's
-own workers spin after a call and take the second core. On the n = 1600
+own workers spin after a call and take the second core; ``run_two`` holds
+OpenBLAS at one thread on every split all the same. On the n = 1600
 sums of P'/P and P''/P (medians of 21 runs, 2 vCPUs): gemv on 64-row blocks
 took 44 ms serial and 41 ms split over two threads; ``np.add.reduce`` rows
 took 31 ms serial and 18 ms on two threads; gemv on two threads with

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import multiprocessing
@@ -15,6 +16,7 @@ import pytest
 
 import spectralab.compute as compute
 import spectralab.labcli.experiments as expmod
+import spectralab.rootsolve as rootsolve
 from spectralab.errors import NoConvergence
 from spectralab.labcli import ExperimentConfig, run_experiment, stream_id_for
 
@@ -60,30 +62,54 @@ def csv_bytes(tmp_path, sub):
     return (tmp_path / sub / "trials.csv").read_bytes()
 
 
+def thread_ident(i):
+    return threading.get_ident()
+
+
+def pool_names(n):
+    """The thread names of a run_two split whose indices wait for each other."""
+    meet = threading.Barrier(n, timeout=30)
+
+    def name(i):
+        meet.wait()
+        return threading.current_thread().name
+
+    return compute.run_two(name, n)
+
+
 class TestBorrow:
-    def test_nested_and_concurrent_borrows_get_none(self, two_threads):
+    def test_nested_and_concurrent_borrows_run_on_their_caller(self, two_threads):
+        # while a split holds the pool thread, a split nested in it and one
+        # from another thread find the pool thread lent
         seen = []
-        with compute.borrow() as pool:
-            assert pool is not None
-            with compute.borrow() as inner:
-                seen.append(inner)
 
-            def borrow_elsewhere():
-                with compute.borrow() as elsewhere:
-                    seen.append(elsewhere)
+        def split_here():
+            seen.append((threading.get_ident(), compute.run_two(thread_ident, 3)))
 
-            other = threading.Thread(target=borrow_elsewhere)
-            other.start()
-            other.join(timeout=30)
-            assert not other.is_alive()
-        assert seen == [None, None]
-        with compute.borrow() as again:
-            assert again is pool
+        def outer(i):
+            if i == 0:
+                split_here()
+                other = threading.Thread(target=split_here)
+                other.start()
+                other.join(timeout=30)
+                assert not other.is_alive()
+            return i
+
+        assert compute.run_two(outer, 2) == [0, 1]
+        assert len(seen) == 2
+        assert all(ran == [caller] * 3 for caller, ran in seen)
+        pool = compute._THREADS.executor
+        assert any(name.startswith("spectralab-compute") for name in pool_names(2))
+        assert compute._THREADS.executor is pool
 
     def test_one_compute_thread_lends_nothing(self, monkeypatch):
         monkeypatch.setattr(compute._THREADS, "count", 1)
-        with compute.borrow() as pool:
-            assert pool is None
+        assert compute.run_two(thread_ident, 5) == [threading.get_ident()] * 5
+
+    def test_splits_without_the_library(self, two_threads, monkeypatch):
+        # only map_two needs the hold; a row-kernel split runs unheld
+        monkeypatch.setattr(compute, "_openblas", lambda: None)
+        assert any(name.startswith("spectralab-compute") for name in pool_names(2))
 
     def test_threaded_trial_reaching_the_row_kernels_finishes(self, tmp_path):
         # both trial threads reach critical_points at degree 1600, whose row
@@ -193,6 +219,22 @@ class TestBlasHold:
         assert child == 1
         assert blas_threads() == 2
 
+    def test_row_kernel_split_holds_blas_on_both_threads(self, two_threads, blas):
+        # the first blocks of the two halves wait for each other, so each
+        # half runs on its own thread
+        nrows, seen = 256, set()
+        meet = threading.Barrier(2, timeout=30)
+
+        def block(lo, hi, buf):
+            if lo in (0, nrows // 2):
+                meet.wait()
+            seen.add((threading.current_thread().name, blas_threads()))
+
+        rootsolve._over_rows(block, nrows, rootsolve._THREAD_GRID // 128, float)
+        assert len({name for name, _ in seen}) == 2
+        assert {count for _, count in seen} == {1}
+        assert blas_threads() == 2
+
     def test_missing_library_runs_serially_with_equal_rows(self, two_threads, monkeypatch,
                                                            tmp_path):
         params = {"n": 16}
@@ -230,3 +272,25 @@ class TestTrialFailure:
             records.append(json.loads((out / "failure.json").read_text()))
         assert records[0]["trial"] == 3
         assert records[0] == records[1]
+
+
+THREAD_MODULES = {"threading", "concurrent", "ctypes", "multiprocessing"}
+
+
+def test_only_compute_imports_thread_modules():
+    # README: compute alone hands out the process's threads
+    src = Path(compute.__file__).parent
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        if path == Path(compute.__file__):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            offenders += [f"{path.relative_to(src)}: {name}" for name in names
+                          if name.split(".")[0] in THREAD_MODULES]
+    assert not offenders

@@ -218,7 +218,7 @@ class TestLazyScipy:
 
     def test_no_experiment_loads_scipy_on_two_threads(self):
         # with two compute threads and more than one trial, map_two looks up
-        # and holds numpy's bundled OpenBLAS, which must not load scipy either
+        # numpy's bundled OpenBLAS and run_two holds it; neither may load scipy
         script = textwrap.dedent(f"""
             import sys
             import spectralab.compute as compute
@@ -523,6 +523,8 @@ class TestCli:
         ("walsh-clusters", ["eps=nan"]),
         ("discrepancy", ["C=nan"]),
         ("ginibre-intensity", ["r_lo=6", "r_hi=7"]),
+        ("real-eig", ["factors=1,x"]),
+        ("discrepancy", ["n_list=,"]),
     ])
     def test_refused_param_values_exit_2(self, name, params, tmp_path):
         args = ["run", "--experiment", name, "--trials", "1", "--out", str(tmp_path / "x")]
@@ -586,6 +588,24 @@ class TestCli:
         rc = main(["run", "--experiment", "poisson-limit", "--trials", "1",
                    "--out", str(tmp_path / "y")])
         assert rc == 3
+
+    def test_resample_limit_exit_3_with_failure_record(self, monkeypatch, tmp_path):
+        # every factor counts as ill-conditioned, so the redraw cap is hit
+        import spectralab.rmt as rmt
+
+        monkeypatch.setattr(rmt, "_COND_LIMIT", 0.0)
+        out = tmp_path / "s"
+        assert main(["run", "--experiment", "spherical-count", "--trials", "1",
+                     "--out", str(out)]) == 3
+        assert json.loads((out / "failure.json").read_text())["error"] == "ResampleLimit"
+
+    def test_svg_flag_writes_the_param_scatter(self, tmp_path):
+        args = ["run", "--experiment", "poisson-limit", "--seed", "5", "--trials", "1",
+                "--param", "n=8"]
+        assert main(args + ["--svg", "--out", str(tmp_path / "flag")]) == 0
+        assert main(args + ["--param", "svg=1", "--out", str(tmp_path / "param")]) == 0
+        svg = [(tmp_path / sub / "scatter.svg").read_bytes() for sub in ("flag", "param")]
+        assert svg[0] == svg[1]
 
     def test_numerical_error_names_trial_and_stream(self, monkeypatch, tmp_path):
         import spectralab.labcli.experiments as expmod

@@ -14,7 +14,7 @@ from conftest import (
 )
 import spectralab.compute as compute
 import spectralab.rmt as rmt
-from spectralab.errors import DegenerateSpectrum, WrongSize, ZeroPoint
+from spectralab.errors import DegenerateSpectrum, NumericalBreakdown, WrongSize, ZeroPoint
 from spectralab.polycore import canonical_order
 from spectralab.randgen import RngStream, bernoulli_entries, gaussian_entries
 from spectralab.rmt import (
@@ -332,6 +332,11 @@ class TestGeneralizedSchur:
     def test_degenerate_spectrum_refused(self):
         with pytest.raises(DegenerateSpectrum):
             generalized_schur([np.diag([1.0 + 0j, 1.0, 2.0])])
+
+    def test_singular_factor_breaks_down(self):
+        with pytest.raises(NumericalBreakdown, match="vanishing diagonal pivot"):
+            generalized_schur([np.diag([1.0 + 0j, 0.0]), np.array([[2.0 + 0j, 1.0],
+                                                                  [1.0, 3.0]])])
 
 
 class TestProductEnsemble:

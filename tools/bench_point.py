@@ -10,11 +10,12 @@ For each of the seeds 401, 402 and 403 it runs every workload through
 metrics from the run's last stdout line. Each workload's result file under
 labbench/out/ gives the git SHA, the non-blank line count of src/, the failed
 requests and the trials.csv digest of the first request of each kind
-(experiment and parameters). Then tier-1 runs once, and its pass and fail
-counts and total wall are parsed from pytest's summary line. The point holds,
-per workload, the median and range of each metric over the seeds. The runs
-take about six minutes; one 25 s run swings by up to 30% on a 2-vCPU host, so
-compare points by their ranges, not by single values.
+(experiment and parameters). Then tier-1 runs once: its pass and fail
+counts and total wall are parsed from pytest's summary line, and each
+acceptance criterion's result and wall from its 'criterion NN' line. The
+point holds, per workload, the median and range of each metric over the
+seeds. The runs take about six minutes; one 25 s run swings by up to 30% on
+a 2-vCPU host, so compare points by their ranges, not by single values.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ OUT = ROOT / "labbench" / "out"
 SEEDS = (401, 402, 403)
 SECONDS = 25
 METRICS = ("trials_per_s", "setup_s", "peak_rss_mb")
+CRITERION = re.compile(r"^criterion (\d\d) \[(.+)\] (PASS|FAIL) \(([\d.]+) s\)$", re.M)
 
 
 def run_seed(seed: int) -> dict:
@@ -59,17 +61,24 @@ def first_digests(requests: list) -> dict:
 
 
 def tier1() -> dict:
-    """Pass/fail counts and total wall of one tier-1 run, from pytest's summary line."""
+    """Pass/fail counts, total wall and per-criterion results of one tier-1 run.
+
+    The counts and wall come from pytest's summary line. ``-rA`` reports the
+    captured output of passing tests too, so every acceptance criterion's
+    'criterion NN [label] PASS|FAIL (t s)' line is in the output.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = "src" + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-                           "-p", "no:cacheprovider"],
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rA",
+                           "--continue-on-collection-errors", "-p", "no:cacheprovider"],
                           cwd=ROOT, env=env, capture_output=True, text=True)
     summary = proc.stdout.strip().splitlines()[-1]
     counts = {word: int(n) for n, word in re.findall(r"(\d+) (\w+)", summary.split(" in ")[0])}
     wall = re.search(r" in ([\d.]+)s", summary)
+    criteria = {num: {"label": label, "result": result, "wall_s": float(t)}
+                for num, label, result, t in CRITERION.findall(proc.stdout)}
     return {"summary": summary.strip("= "), "counts": counts,
-            "wall_s": float(wall.group(1)) if wall else None}
+            "wall_s": float(wall.group(1)) if wall else None, "criteria": criteria}
 
 
 def spread(values: list) -> dict:
