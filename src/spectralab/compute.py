@@ -20,6 +20,7 @@ serially. A child forked from the process (by any caller) gets one compute
 thread and one BLAS thread: it has none of the parent's threads, so a row
 kernel there must not wait on them.
 """
+
 from __future__ import annotations
 
 import ctypes
