@@ -3,7 +3,7 @@
 There are min(2, cores this process may run on) compute threads, and there
 is no option. The pool thread is created on first use and, like BLAS's own
 threads, belongs to the process. Only ``run_two`` hands it work, splitting
-indices over the two threads: the two halves of the rows of a large
+indices over the two threads: the row blocks and repulsion tiles of a large
 ``rootsolve`` sweep, and through ``map_two`` the experiment runner's trials.
 The pool thread is not reentrant: a nested or concurrent split finds it
 lent and runs on the calling thread. So a trial on the pool thread that

@@ -22,18 +22,22 @@ P'/P'' shrinks only linearly.
 
 A sweep is Jacobi-style, every point's sums depending only on the previous
 iterate, which is the independence MPSolve's parallel sweeps use (Bini &
-Robol, JCAM 2014). So when a block grid is large, its two halves of rows go
-to ``compute.run_two``, which runs them on the process's two compute
-threads, or one after the other when the process may use only one core or
-the pool thread is already busy, as it is while the experiment runner runs
-trials on it. No BLAS call runs under these threads, because OpenBLAS's
-own workers spin after a call and take the second core; ``run_two`` holds
-OpenBLAS at one thread on every split all the same. On the n = 1600
-sums of P'/P and P''/P (medians of 21 runs, 2 vCPUs): gemv on 64-row blocks
-took 44 ms serial and 41 ms split over two threads; ``np.add.reduce`` rows
-took 31 ms serial and 18 ms on two threads; gemv on two threads with
-OPENBLAS_NUM_THREADS=1 took 18 ms. Each row is reduced on its own, so
-results do not depend on the thread count or on the block height.
+Robol, JCAM 2014). So when a grid is large, its blocks of rows are the
+indices of ``compute.run_two``, and the process's two compute threads each
+take the next block until none is left; the caller takes them all when the
+process may use only one core or the pool thread is already busy, as it is
+while the experiment runner runs trials on it. No BLAS call runs under
+these threads, because OpenBLAS's own workers spin after a call and take
+the second core; ``run_two`` holds OpenBLAS at one thread on every split
+all the same. On the n = 1600 sums of P'/P and P''/P (medians of 21 runs,
+2 vCPUs): gemv on 64-row blocks took 44 ms serial and 41 ms split over two
+threads; ``np.add.reduce`` rows took 31 ms serial and 18 ms on two
+threads; gemv on two threads with OPENBLAS_NUM_THREADS=1 took 18 ms. Each
+row is reduced on its own, so results do not depend on the thread count or
+on the block height. The repulsion sum is antisymmetric, so on a large grid
+it forms the reciprocal of each pair of active points once, in square tiles
+(``_row_repulsion``): its results depend on the tile size, but still not on
+the thread count.
 
 Real-rooted polynomials get a bracketed fast path: Rolle's theorem puts
 exactly one critical point strictly between consecutive distinct roots, where
@@ -72,6 +76,8 @@ _BLOCK_ROWS = 64
 _ROW_KERNEL_DEGREE = 80
 # rows x columns from which a row kernel splits its rows over two threads
 _THREAD_GRID = 1 << 17
+# side of the square tiles of the active x active repulsion sum from _THREAD_GRID on
+_TILE = 128
 
 
 @dataclass(frozen=True)
@@ -81,6 +87,22 @@ class RootFindReport:
     roots: np.ndarray
     residuals: np.ndarray
     iterations: int
+
+
+def _scale_exponent(top: float, parts: np.ndarray) -> int:
+    """The e for which ldexp(top, -e) lies in [0.5, 1), or the nearest that keeps parts normal.
+
+    ``parts`` are real values, not all zero, and every normal one
+    stays normal in ldexp(parts, -e), so that scaling and its inverse are
+    exact.
+    """
+    mags = np.abs(parts[parts != 0])
+    return min(math.frexp(top)[1], max(math.frexp(mags.min())[1] + 1021, 0))
+
+
+def _ldexp(z: np.ndarray, e: int) -> np.ndarray:
+    """z times 2^e for a complex array, part by part."""
+    return np.ldexp(np.ascontiguousarray(z).view(float), e).view(complex)
 
 
 def _horner_pair(coeffs: np.ndarray, z: np.ndarray):
@@ -173,32 +195,47 @@ def _log_deriv_sums(w: np.ndarray, values: np.ndarray, cnt: np.ndarray):
     return s1, s2
 
 
-def _row_blocks(block, lo: int, hi: int, bufs) -> None:
-    """block(a, b, *views) for consecutive row blocks [a, b) of [lo, hi), as tall as bufs."""
-    height = bufs[0].shape[0]
-    for a in range(lo, hi, height):
-        b = min(a + height, hi)
-        block(a, b, *(buf[:b - a] for buf in bufs))
+def _split(fn, n: int, rows: int, ncols: int, *dtypes) -> list:
+    """``run_two`` over fn(i, *bufs), i in [0, n), each running index with its own work arrays.
+
+    The calling thread allocates one array of 2 rows x ncols per dtype, so
+    that no worker thread grows its own heap. Its two halves are the slots of
+    a free list: a running index pops one and appends it back when done (both
+    atomic under the GIL), and ``run_two`` runs at most two indices at once.
+    """
+    bufs = [np.empty((2 * rows, ncols), dt) for dt in dtypes]
+    free = [[buf[:rows] for buf in bufs], [buf[rows:] for buf in bufs]]
+
+    def run(i):
+        slot = free.pop()
+        try:
+            return fn(i, *slot)
+        finally:
+            free.append(slot)
+
+    return run_two(run, n)
 
 
 def _over_rows(block, nrows: int, ncols: int, *dtypes) -> None:
-    """Run ``block`` over the rows [0, nrows) in blocks, on two threads when the grid is large.
+    """Run block(lo, hi, *bufs) over the rows [0, nrows), on two threads when the grid is large.
 
-    One work array per dtype is allocated by the calling thread, so that no
-    worker thread grows its own heap. A grid of nrows x ncols below
-    _THREAD_GRID is one block. A larger one runs in two parts through
-    ``compute.run_two``: the lower half of the rows with the lower half of
-    every buffer, and the upper half with the upper half, each part in
-    half-height blocks.
+    A grid of nrows x ncols below _THREAD_GRID is one block, with one work
+    array per dtype. A larger one is cut into blocks of _BLOCK_ROWS // 2
+    rows, each a ``compute.run_two`` index through ``_split``, so both
+    threads take the next block until none is left.
     """
     if nrows * ncols < _THREAD_GRID:
-        _row_blocks(block, 0, nrows, [np.empty((max(nrows, 1), ncols), dt) for dt in dtypes])
+        if nrows:
+            block(0, nrows, *(np.empty((nrows, ncols), dt) for dt in dtypes))
         return
-    bufs = [np.empty((_BLOCK_ROWS, ncols), dt) for dt in dtypes]
-    half, mid = _BLOCK_ROWS // 2, nrows // 2
-    parts = ((0, mid, [buf[:half] for buf in bufs]),
-             (mid, nrows, [buf[half:] for buf in bufs]))
-    run_two(lambda i: _row_blocks(block, *parts[i]), 2)
+    height = _BLOCK_ROWS // 2
+
+    def rows(i, *bufs):
+        lo = i * height
+        hi = min(lo + height, nrows)
+        block(lo, hi, *(buf[:hi - lo] for buf in bufs))
+
+    _split(rows, -(-nrows // height), height, ncols, *dtypes)
 
 
 def _row_log_deriv_sums(w: np.ndarray, poles: np.ndarray):
@@ -228,7 +265,8 @@ def _row_abs_sums(w: np.ndarray, poles: np.ndarray) -> np.ndarray:
     out = np.empty(w.size)
 
     def block(lo, hi, diff, inv):
-        np.subtract(w[lo:hi, None], poles, out=diff)
+        diff[:] = w[lo:hi, None]
+        np.subtract(diff, poles, out=diff)
         np.abs(diff, out=inv)
         np.reciprocal(inv, out=inv)
         np.add.reduce(inv, axis=1, out=out[lo:hi])
@@ -237,19 +275,64 @@ def _row_abs_sums(w: np.ndarray, poles: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_repulsion(w: np.ndarray, fixed: np.ndarray) -> np.ndarray:
-    """Aberth term sum_{j != i} 1/(w_i - w_j) + sum_k 1/(w_i - fixed_k), by row reductions."""
-    poles = np.concatenate([w, fixed])
+def _row_inverse_sums(w: np.ndarray, poles: np.ndarray, own: bool) -> np.ndarray:
+    """sum 1/(w_i - p) over ``poles`` at each w_i, by row reductions.
+
+    With ``own``, ``poles`` starts with w and each row skips its own pole.
+    """
     out = np.empty_like(w)
 
     def block(lo, hi, inv):
-        np.subtract(w[lo:hi, None], poles, out=inv)
-        rows = np.arange(hi - lo)
-        inv[rows, lo + rows] = np.inf
+        inv[:] = w[lo:hi, None]
+        np.subtract(inv, poles, out=inv)
+        if own:
+            rows = np.arange(hi - lo)
+            inv[rows, lo + rows] = np.inf
         np.reciprocal(inv, out=inv)
         np.add.reduce(inv, axis=1, out=out[lo:hi])
 
     _over_rows(block, w.size, poles.size, complex)
+    return out
+
+
+def _row_repulsion(w: np.ndarray, fixed: np.ndarray) -> np.ndarray:
+    """Aberth term sum_{j != i} 1/(w_i - w_j) + sum_k 1/(w_i - fixed_k) at each w_i.
+
+    Below _THREAD_GRID, w.size x (w.size + fixed.size), it is one row
+    kernel. From there the w x w part, which is antisymmetric, is cut into
+    square tiles (a, b), a <= b, of _TILE points a side, and each tile forms
+    its reciprocals once: its row sums go to the rows of tile a and its
+    negated column sums, the same terms to the bit, to the rows of tile b.
+    The tiles are ``compute.run_two`` indices; their sums are stored by tile
+    and added in tile order, so the result depends on _TILE but not on the
+    thread count. The fixed columns stay a row kernel.
+    """
+    m = w.size
+    if m * (m + fixed.size) < _THREAD_GRID:
+        return _row_inverse_sums(w, np.concatenate([w, fixed]), own=True)
+    nt = -(-m // _TILE)
+    pairs = [(a, b) for a in range(nt) for b in range(a, nt)]
+    # parts[a, b]: the sums over the points of tile b for the rows of tile a
+    parts = np.zeros((nt, nt, _TILE), complex)
+
+    def tile(k, buf):
+        a, b = pairs[k]
+        wa, wb = w[a * _TILE:(a + 1) * _TILE], w[b * _TILE:(b + 1) * _TILE]
+        inv = buf.reshape(-1)[:wa.size * wb.size].reshape(wa.size, wb.size)
+        inv[:] = wa[:, None]
+        np.subtract(inv, wb, out=inv)
+        if a == b:
+            np.fill_diagonal(inv, np.inf)
+        np.reciprocal(inv, out=inv)
+        np.add.reduce(inv, axis=1, out=parts[a, b, :wa.size])
+        if a != b:
+            np.add.reduce(inv, axis=0, out=parts[b, a, :wb.size])
+            np.negative(parts[b, a, :wb.size], out=parts[b, a, :wb.size])
+
+    _split(tile, len(pairs), _TILE, _TILE, complex)
+    out = np.add.reduce(parts, axis=1).reshape(-1)[:m]
+    if fixed.size:
+        out += _row_inverse_sums(w, fixed, own=False)
     return out
 
 
@@ -286,7 +369,8 @@ def _row_nearest(w: np.ndarray, rows: np.ndarray, poles: np.ndarray) -> np.ndarr
     at = w[rows]
 
     def block(lo, hi, diff, dist):
-        np.subtract(at[lo:hi, None], poles, out=diff)
+        diff[:] = at[lo:hi, None]
+        np.subtract(diff, poles, out=diff)
         np.abs(diff, out=dist)
         dist[np.arange(hi - lo), rows[lo:hi]] = np.inf
         np.minimum.reduce(dist, axis=1, out=out[lo:hi])
@@ -336,6 +420,13 @@ def critical_points(p: RootPoly, *, max_iter: int = MAX_ITER) -> RootFindReport:
     after ``max_iter`` sweeps without a passing certification sweep, which
     is the iteration's only stop, DegenerateInput when a root is not finite
     or the degree is below 2.
+
+    The sweeps run on the roots times 2^-e, where e puts max|root| in
+    [1, 2) (or is the nearest that keeps every normal part normal), and the
+    points are scaled back. Both scalings are exact, so the results scale
+    with the roots to the bit, the sums do not overflow on roots far from
+    unit scale, and the step test and ``residuals`` read
+    |P'/P''| / (2^e + |w|) at the returned w.
     """
     if p.degree < 2:
         raise DegenerateInput("degree >= 2 required")
@@ -344,9 +435,12 @@ def critical_points(p: RootPoly, *, max_iter: int = MAX_ITER) -> RootFindReport:
         raise DegenerateInput("roots must be finite")
     n = roots.size
     values, counts = np.unique(roots, return_counts=True)
-    fixed = np.repeat(values, counts - 1)
     if values.size == 1:
-        return RootFindReport(fixed, np.zeros(n - 1), 0)
+        return RootFindReport(np.repeat(values, counts - 1), np.zeros(n - 1), 0)
+    # halved, so that no |value| overflows
+    e = _scale_exponent(np.abs(values * 0.5).max(), values.view(float))
+    roots, values = _ldexp(roots, -e), _ldexp(values, -e)
+    fixed = np.repeat(values, counts - 1)
 
     centroid = roots.mean()
     drop = int(np.argmin(np.abs(values - centroid)))
@@ -373,7 +467,7 @@ def critical_points(p: RootPoly, *, max_iter: int = MAX_ITER) -> RootFindReport:
                 steps = np.abs(newton) / (1.0 + np.abs(w))
                 worst = float(steps.max())
                 if worst <= NEWTON_TOL:
-                    return RootFindReport(np.concatenate([fixed, w]),
+                    return RootFindReport(_ldexp(np.concatenate([fixed, w]), e),
                                           np.concatenate([np.zeros(fixed.size), steps]),
                                           it)
                 active = np.flatnonzero(steps > NEWTON_TOL)
@@ -417,8 +511,7 @@ def _gap_zeros(values: np.ndarray, counts: np.ndarray, gaps: np.ndarray) -> np.n
     so results scale exactly with the roots and s2 does not overflow on tiny
     roots. Raises NoConvergence if any gap is still open after MAX_ITER sweeps.
     """
-    mags = np.abs(values[values != 0])
-    scale = min(math.frexp(mags.max())[1], max(math.frexp(mags.min())[1] + 1021, 0))
+    scale = _scale_exponent(np.abs(values).max(), values)
     values = np.ldexp(values, -scale)
     poles = np.repeat(values, counts)
     # the gap's own poles and their weights; lo and hi are its bracket

@@ -220,13 +220,13 @@ class TestBlasHold:
         assert blas_threads() == 2
 
     def test_row_kernel_split_holds_blas_on_both_threads(self, two_threads, blas):
-        # the first blocks of the two halves wait for each other, so each
-        # half runs on its own thread
-        nrows, seen = 256, set()
+        # the first two blocks wait for each other, so each runs on its own
+        # thread: the thread holding the first is met only by the other
+        nrows, height, seen = 256, rootsolve._BLOCK_ROWS // 2, set()
         meet = threading.Barrier(2, timeout=30)
 
         def block(lo, hi, buf):
-            if lo in (0, nrows // 2):
+            if lo < 2 * height:
                 meet.wait()
             seen.add((threading.current_thread().name, blas_threads()))
 

@@ -224,12 +224,44 @@ class TestDeflation:
         values, counts = np.unique(roots, return_counts=True)
         sums = rootsolve._sums_kernel(values, counts)
         s1, s2 = sums(w)
+        # the solver steps on the roots times 2^-e, max|root| in [1, 2), so
+        # its step test 1 + |w| reads 2^e + |w| here (2^e = 1 for thm1)
+        scale = 2.0 ** (math.frexp(np.abs(roots).max())[1] - 1)
         np.testing.assert_array_equal(rep.residuals,
-                                      np.abs(s1 / (s1 * s1 - s2)) / (1.0 + np.abs(w)))
+                                      np.abs(s1 / (s1 * s1 - s2)) / (scale + np.abs(w)))
         # and an independent one, summed directly
         inv = 1.0 / (w[:, None] - roots[None, :])
         s1, s2 = inv.sum(axis=1), (inv * inv).sum(axis=1)
-        assert np.max(np.abs(s1 / (s1 * s1 - s2)) / (1.0 + np.abs(w))) <= NEWTON_TOL
+        assert np.max(np.abs(s1 / (s1 * s1 - s2)) / (scale + np.abs(w))) <= NEWTON_TOL
+
+
+SCALE_PROBE = np.array([1, 2, 3, 1j, 2 + 1j, -1.5 + 0.5j])
+
+
+class TestScaling:
+    @pytest.mark.parametrize("k", [-531, -332, 332, 531])
+    def test_power_of_two_scaling_is_exact(self, k):
+        walsh = _walsh_roots(RngStream(42, stream_id_for("walsh-clusters", 3)),
+                             {"k": 3, **WALSH})[1]
+        for roots in (SCALE_PROBE, walsh):
+            ref = critical_points(RootPoly(roots))
+            rep = critical_points(RootPoly(roots * 2.0 ** k))
+            np.testing.assert_array_equal(rep.roots, ref.roots * 2.0 ** k)
+            np.testing.assert_array_equal(rep.residuals, ref.residuals)
+            assert rep.iterations == ref.iterations
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e-100, 1e160, 1e200])
+    def test_decimal_scaling_keeps_the_points(self, scale):
+        # unscaled, these returned points 1.1e-1 off at 1e-100 and 5e6 off at
+        # 1e-160 with passing residuals, and raised at the other three with
+        # overflow warnings; measured worst now 1.5e-16
+        ref = np.sort_complex(critical_points(RootPoly(SCALE_PROBE)).roots)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = critical_points(RootPoly(SCALE_PROBE * scale))
+        assert rep.residuals.max() <= NEWTON_TOL
+        got = np.sort_complex(rep.roots / scale)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-15
 
 
 def newton_polish_mp(w, roots):
@@ -350,6 +382,63 @@ class RaisingPool:
         raise ThreadPoolStarted
 
 
+def repulsion_terms(w, fixed):
+    """The terms 1/(w_i - p) of each row of the repulsion sum, own pole at inf (term 0)."""
+    diff = w[:, None] - np.concatenate([w, fixed])[None, :]
+    np.fill_diagonal(diff, np.inf)
+    return np.reciprocal(diff)
+
+
+class TestRepulsion:
+    @pytest.mark.parametrize("m, f", [(400, 0), (300, 157), (130, 1000)])
+    def test_tiles_match_a_direct_row_sum(self, m, f, monkeypatch):
+        # sizes that are not multiples of the tile, above the tile threshold
+        assert m % rootsolve._TILE and m * (m + f) >= rootsolve._THREAD_GRID
+        rng = np.random.default_rng(m + f)
+        pts = rng.normal(size=m + f) + 1j * rng.normal(size=m + f)
+        w, fixed = pts[:m], pts[m:]
+        got = {}
+        for count in (1, 2):
+            monkeypatch.setattr(compute._THREADS, "count", count)
+            got[count] = rootsolve._row_repulsion(w, fixed)
+        np.testing.assert_array_equal(got[1], got[2])
+        terms = repulsion_terms(w, fixed)
+        exact = np.array([complex(math.fsum(row.real), math.fsum(row.imag)) for row in terms])
+        bound = 4 * np.finfo(float).eps * np.abs(terms).sum(axis=1)
+        assert np.all(np.abs(got[1] - exact) <= bound)
+
+    def test_split_slots_are_not_shared_under_fast_switching(self, monkeypatch):
+        # each running index owns one of the two buffer slots: it writes its
+        # index into the slot and finds it there after a run of bytecodes
+        # during which the other thread may run
+        monkeypatch.setattr(compute._THREADS, "count", 2)
+
+        def fill(i, buf):
+            buf[:] = i
+            for _ in range(50):
+                pass
+            return bool((buf == i).all()), threading.current_thread().name
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = rootsolve._split(fill, 2000, 4, 64, float)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(ok for ok, _ in got)
+        assert any(name.startswith("spectralab-compute") for _, name in got)
+
+    @pytest.mark.parametrize("m, f", [(59, 0), (40, 19), (79, 0), (300, 100)])
+    def test_row_kernel_below_the_tile_threshold(self, m, f):
+        # walsh and small thm1 sizes keep the one row kernel's bits
+        assert m * (m + f) < rootsolve._THREAD_GRID
+        rng = np.random.default_rng(m)
+        pts = rng.normal(size=m + f) + 1j * rng.normal(size=m + f)
+        w, fixed = pts[:m], pts[m:]
+        np.testing.assert_array_equal(rootsolve._row_repulsion(w, fixed),
+                                      np.add.reduce(repulsion_terms(w, fixed), axis=1))
+
+
 class TestRowThreads:
     @pytest.fixture
     def threads(self, monkeypatch):
@@ -369,13 +458,14 @@ class TestRowThreads:
 
     def test_thread_count_does_not_change_real_gap_zeros(self, threads, monkeypatch):
         names = set()
-        blocks = rootsolve._row_blocks
 
-        def recorded(*args):
-            names.add(threading.current_thread().name)
-            return blocks(*args)
+        def recorded(fn, n):
+            def named(i):
+                names.add(threading.current_thread().name)
+                return fn(i)
+            return compute.run_two(named, n)
 
-        monkeypatch.setattr(rootsolve, "_row_blocks", recorded)
+        monkeypatch.setattr(rootsolve, "run_two", recorded)
         x = np.sort(np.random.default_rng(4).exponential(size=2000))
         etas = []
         for count in (1, 2):
@@ -388,19 +478,25 @@ class TestRowThreads:
     @pytest.mark.parametrize("state", ["raise", "ignore"])
     def test_pool_half_runs_under_the_callers_error_state(self, threads, state):
         # numpy's error state is per thread: the pool thread must take the
-        # caller's. Every row divides by zero, and the first blocks of the two
-        # halves wait for each other, so each half runs on its own thread.
+        # caller's. Every row divides by zero. The first two blocks wait for
+        # each other, so the thread holding the first can only be met by the
+        # other taking the second: each runs on its own thread.
         threads(2)
-        nrows, names = 256, set()
+        nrows, height, names, raised = 256, rootsolve._BLOCK_ROWS // 2, set(), set()
         meet = threading.Barrier(2, timeout=30)
 
         def block(lo, hi, buf):
-            names.add(threading.current_thread().name)
-            if lo in (0, nrows // 2):
+            name = threading.current_thread().name
+            if lo < 2 * height:
                 meet.wait()
             buf[:] = 1.0
             buf[:, 0] = 0.0
-            np.reciprocal(buf, out=buf)
+            try:
+                np.reciprocal(buf, out=buf)
+            except FloatingPointError:
+                raised.add(name)
+                raise
+            names.add(name)
 
         def run():
             rootsolve._over_rows(block, nrows, rootsolve._THREAD_GRID // 128, float)
@@ -412,7 +508,8 @@ class TestRowThreads:
                     run()
             else:
                 run()
-        assert any(name.startswith("spectralab-compute") for name in names)
+        ran = raised if state == "raise" else names
+        assert any(name.startswith("spectralab-compute") for name in ran)
 
     def test_small_degrees_start_no_pool(self, threads, monkeypatch):
         threads(2)

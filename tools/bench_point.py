@@ -1,52 +1,76 @@
 #!/usr/bin/env python3
-"""Write one trajectory point of the benchmark and tier-1 to a JSON file.
+"""Write one paired trajectory point of the benchmark and tier-1 to a JSON file.
 
 Run from the repository root:
 
     python3 tools/bench_point.py BENCH_<n>.json
 
-For each of the seeds 401, 402 and 403 it runs every workload through
-``labbench/run.py --workload all --seconds 25 --trace 0`` and reads the end-to-end
-metrics from the run's last stdout line. Each workload's result file under
-labbench/out/ gives the git SHA, the non-blank line count of src/, the failed
-requests and the trials.csv digest of the first request of each kind
-(experiment and parameters). Then tier-1 runs once: its pass and fail
+The point measures this checkout (the change) against its parent commit
+HEAD^, which is unpacked by ``git archive`` into a temporary directory. For
+each of the seeds 401, 402 and 403 and each workload of BENCHMARK.json, it
+runs ``labbench/run.py --workload W --seed S --seconds 25 --trace 0`` in the
+parent's tree and in this one, one right after the other, the parent first
+at 401 and 403 and the change first at 402, and reads the end-to-end
+metrics from each run's last stdout line. Each workload's result file under
+labbench/out/ gives the non-blank line count of src/, the failed requests and
+the trials.csv digest of the first request of each kind (experiment and
+parameters). Then tier-1 runs once on this checkout: its pass and fail
 counts and total wall are parsed from pytest's summary line, and each
-acceptance criterion's result and wall from its 'criterion NN' line. The
-point holds, per workload, the median and range of each metric over the
-seeds. The runs take about six minutes; one 25 s run swings by up to 30% on
-a 2-vCPU host, so compare points by their ranges, not by single values.
+acceptance criterion's result and wall from its 'criterion NN' line.
+
+Per workload and metric the point holds every pair, the change/parent ratio
+of each pair, the pairs the change wins, the median and range of each side
+and the parent's interquartile range. One 25 s run swings by up to 30% on a
+2-vCPU host, so read a point's delta from its pairs, not from its medians
+against an older point's. The runs take about fifteen minutes.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import re
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-OUT = ROOT / "labbench" / "out"
 SEEDS = (401, 402, 403)
 SECONDS = 25
-METRICS = ("trials_per_s", "setup_s", "peak_rss_mb")
 CRITERION = re.compile(r"^criterion (\d\d) \[(.+)\] (PASS|FAIL) \(([\d.]+) s\)$", re.M)
 
 
-def run_seed(seed: int) -> dict:
-    """The end-to-end metrics of every workload at one seed, keyed 'workload.metric'."""
-    proc = subprocess.run([sys.executable, "labbench/run.py", "--workload", "all",
+def git(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+
+
+def unpack_parent(into: Path) -> str:
+    """Unpack the files of HEAD^ into ``into``; returns its SHA."""
+    sha = git("rev-parse", "HEAD^").stdout.strip()
+    archive = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into, filter="data")
+    return sha
+
+
+def run_once(tree: Path, workload: str, seed: int) -> dict:
+    """The end-to-end metric values of one run of one workload in ``tree``."""
+    proc = subprocess.run([sys.executable, "labbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
-                          cwd=ROOT, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.splitlines()[-1])["metrics"]
+                          cwd=tree, capture_output=True, text=True, check=True)
+    metrics = json.loads(proc.stdout.splitlines()[-1])["metrics"]
+    return {name: m["value"] for name, m in metrics.items()}
 
 
-def result_file(workload: str, seed: int) -> dict:
-    return json.loads((OUT / f"{workload}-seed{seed}-trace0.json").read_text(encoding="utf-8"))
+def result_file(tree: Path, workload: str, seed: int) -> dict:
+    path = tree / "labbench" / "out" / f"{workload}-seed{seed}-trace0.json"
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def first_digests(requests: list) -> dict:
@@ -82,8 +106,18 @@ def tier1() -> dict:
 
 
 def spread(values: list) -> dict:
-    return {"median": statistics.median(values), "min": min(values), "max": max(values),
-            "values": values}
+    return {"median": statistics.median(values), "min": min(values), "max": max(values)}
+
+
+def paired(parent: list, change: list, higher_is_better: bool) -> dict:
+    """The pairs of one metric, their change/parent ratios, the change's wins and both spreads."""
+    ratios = [c / p for p, c in zip(parent, change)]
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    return {"pairs": [{"parent": p, "change": c} for p, c in zip(parent, change)],
+            "ratios": ratios,
+            "wins": sum((r > 1) if higher_is_better else (r < 1) for r in ratios),
+            "parent": {**spread(parent), "iqr": q3 - q1},
+            "change": spread(change)}
 
 
 def main(argv=None) -> int:
@@ -91,31 +125,50 @@ def main(argv=None) -> int:
     parser.add_argument("out", type=Path, help="the JSON file to write")
     args = parser.parse_args(argv)
 
-    runs = {seed: run_seed(seed) for seed in SEEDS}
-    workloads = sorted({key.split(".")[0] for metrics in runs.values() for key in metrics})
-    point = {"seeds": SEEDS, "seconds": SECONDS, "workloads": {}}
-    for workload in workloads:
-        files = {seed: result_file(workload, seed) for seed in SEEDS}
-        meta = files[SEEDS[0]]["metadata"]
-        point.setdefault("git_sha", meta["git_sha"])
-        point.setdefault("src_nonblank_loc", meta["src_nonblank_loc"])
-        point.setdefault("machine", {k: meta[k] for k in
-                                     ("python", "numpy", "scipy", "numpy_blas", "nproc")})
-        requests = [rec for f in files.values() for rec in f["requests"]]
-        point["workloads"][workload] = {
-            **{m: spread([runs[s][f"{workload}.{m}"]["value"] for s in SEEDS])
-               for m in METRICS},
-            "requests": len(requests),
-            "failed": sum(rec["failed"] for rec in requests),
-            "first_digests": {seed: first_digests(f["requests"]) for seed, f in files.items()},
-        }
-    status = subprocess.run(["git", "status", "--porcelain", "--", "src", "labbench"],
-                            cwd=ROOT, capture_output=True, text=True)
-    # the SHA names the measured code only when src/ and labbench/ match it
-    point["src_matches_sha"] = status.returncode == 0 and not status.stdout.strip()
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = [w["name"] for w in spec["workloads"]]
+    higher = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
+    status = git("status", "--porcelain", "--", "src", "labbench")
+    point = {"seeds": SEEDS, "seconds": SECONDS,
+             "git_sha": git("rev-parse", "HEAD").stdout.strip(),
+             # the SHA names the measured code only when src/ and labbench/ match it
+             "src_matches_sha": status.returncode == 0 and not status.stdout.strip(),
+             "workloads": {}}
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        trees = {"parent": Path(tmp), "change": ROOT}
+        point["parent_sha"] = unpack_parent(trees["parent"])
+        runs = {side: {} for side in trees}
+        for i, seed in enumerate(SEEDS):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for workload in workloads:
+                for side in order:
+                    runs[side][workload, seed] = run_once(trees[side], workload, seed)
+        for workload in workloads:
+            files = {side: {seed: result_file(tree, workload, seed) for seed in SEEDS}
+                     for side, tree in trees.items()}
+            meta = files["change"][SEEDS[0]]["metadata"]
+            point.setdefault("machine", {k: meta[k] for k in
+                                         ("python", "numpy", "scipy", "numpy_blas", "nproc")})
+            point.setdefault("src_nonblank_loc", {side: f[SEEDS[0]]["metadata"]["src_nonblank_loc"]
+                                                  for side, f in files.items()})
+            requests = {side: [rec for f in files[side].values() for rec in f["requests"]]
+                        for side in trees}
+            digests = {side: {seed: first_digests(f["requests"]) for seed, f in files[side].items()}
+                       for side in trees}
+            point["workloads"][workload] = {
+                **{m: paired([runs["parent"][workload, s][m] for s in SEEDS],
+                             [runs["change"][workload, s][m] for s in SEEDS], better)
+                   for m, better in higher.items()},
+                "requests": {side: len(recs) for side, recs in requests.items()},
+                "failed": {side: sum(rec["failed"] for rec in recs)
+                           for side, recs in requests.items()},
+                "first_digests": digests["change"],
+                "digests_equal_parent": digests["change"] == digests["parent"],
+            }
     point["tier1"] = tier1()
     args.out.write_text(json.dumps(point, indent=1) + "\n", encoding="utf-8")
-    print(json.dumps({w: {m: v[m]["median"] for m in METRICS}
+    print(json.dumps({w: {m: [v[m]["parent"]["median"], v[m]["change"]["median"], v[m]["wins"]]
+                          for m in higher}
                       for w, v in point["workloads"].items()}))
     return 0
 
