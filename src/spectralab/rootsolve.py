@@ -225,8 +225,7 @@ def _over_rows(block, nrows: int, ncols: int, *dtypes) -> None:
     threads take the next block until none is left.
     """
     if nrows * ncols < _THREAD_GRID:
-        if nrows:
-            block(0, nrows, *(np.empty((nrows, ncols), dt) for dt in dtypes))
+        block(0, nrows, *(np.empty((nrows, ncols), dt) for dt in dtypes))
         return
     height = _BLOCK_ROWS // 2
 
