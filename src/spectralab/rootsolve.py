@@ -12,13 +12,14 @@ through LAPACK) and ``solve_all`` (those eigenvalues after one Newton step on
 the coefficients, certified by their backward errors). No critical-point
 computation goes through them.
 
-The sweeps' sums are BLAS-free row kernels: each point's row of terms is
-reduced by ``np.add.reduce``. The repulsion sum, the rounding bound of the
-inclusion test and the real gap solver use them at every size, and the sums
-of P'/P and P''/P from degree _ROW_KERNEL_DEGREE on. Below that degree those
-are BLAS matrix-vector products over the distinct roots: row reductions of
-them stall at a double critical point, where the simple-root certificate
-P'/P'' shrinks only linearly.
+The sweeps' sums are row kernels over one driver, ``_over_rows``: it forms
+each block of differences w - p, and the kernel reduces it. Each point's row
+of terms is reduced by ``np.add.reduce``, BLAS-free. The repulsion sum, the
+rounding bound of the inclusion test and the real gap solver use them at
+every size, and the sums of P'/P and P''/P from degree _ROW_KERNEL_DEGREE
+on. Below that degree those are BLAS matrix-vector products over the
+distinct roots: row reductions of them stall at a double critical point,
+where the simple-root certificate P'/P'' shrinks only linearly.
 
 A sweep is Jacobi-style, every point's sums depending only on the previous
 iterate, which is the independence MPSolve's parallel sweeps use (Bini &
@@ -26,16 +27,17 @@ Robol, JCAM 2014). So when a grid is large, its blocks of rows are the
 indices of ``compute.run_two``, and the process's two compute threads each
 take the next block until none is left; the caller takes them all when the
 process may use only one core or the pool thread is already busy, as it is
-while the experiment runner runs trials on it. No BLAS call runs under
-these threads, because OpenBLAS's own workers spin after a call and take
-the second core; ``run_two`` holds OpenBLAS at one thread on every split
-all the same. On the n = 1600 sums of P'/P and P''/P (medians of 21 runs,
-2 vCPUs): gemv on 64-row blocks took 44 ms serial and 41 ms split over two
-threads; ``np.add.reduce`` rows took 31 ms serial and 18 ms on two
-threads; gemv on two threads with OPENBLAS_NUM_THREADS=1 took 18 ms. Each
-row is reduced on its own, so results do not depend on the thread count or
-on the block height. The repulsion sum is antisymmetric, so on a large grid
-it forms the reciprocal of each pair of active points once, in square tiles
+while the experiment runner runs trials on it. A grid below degree
+_ROW_KERNEL_DEGREE is never that large, so no BLAS call runs under these
+threads: OpenBLAS's own workers spin after a call and take the second core.
+``run_two`` holds OpenBLAS at one thread on every split all the same. On
+the n = 1600 sums of P'/P and P''/P (medians of 21 runs, 2 vCPUs): gemv on
+64-row blocks took 44 ms serial and 41 ms split over two threads;
+``np.add.reduce`` rows took 31 ms serial and 18 ms on two threads; gemv on
+two threads with OPENBLAS_NUM_THREADS=1 took 18 ms. Each row is reduced on
+its own, so row-kernel results do not depend on the thread count or on the
+block height. The repulsion sum is antisymmetric, so on a large grid it
+forms the reciprocal of each pair of active points once, in square tiles
 (``_row_repulsion``): its results depend on the tile size, but still not on
 the thread count.
 
@@ -70,7 +72,8 @@ __all__ = [
 TOL_ROOT = 1e-12
 NEWTON_TOL = 1e-11
 MAX_ITER = 200
-_BLOCK_ROWS = 64
+# rows of each block of a row-kernel grid that is split over two threads
+_BLOCK_ROWS = 32
 # degree from which critical_points sums P'/P and P''/P by row kernels: one
 # thread of them ties gemv at degree 80 (2.10 vs 2.12 ms) and wins from there
 _ROW_KERNEL_DEGREE = 80
@@ -177,24 +180,6 @@ def solve_all(coeffs) -> RootFindReport:
     return RootFindReport(z, res, 1)
 
 
-def _log_deriv_sums(w: np.ndarray, values: np.ndarray, cnt: np.ndarray):
-    """s1 = sum c_j/(w - v_j) = P'/P and s2 = sum c_j/(w - v_j)^2 at each w.
-
-    Evaluated in blocks of _BLOCK_ROWS points, so no temporary grows with the
-    square of the degree; each block's terms are formed in place in one buffer.
-    """
-    s1 = np.empty_like(w)
-    s2 = np.empty_like(w)
-    for lo in range(0, w.size, _BLOCK_ROWS):
-        blk = slice(lo, lo + _BLOCK_ROWS)
-        inv = w[blk, None] - values[None, :]
-        np.reciprocal(inv, out=inv)
-        s1[blk] = inv @ cnt
-        np.square(inv, out=inv)
-        s2[blk] = inv @ cnt
-    return s1, s2
-
-
 def _split(fn, n: int, rows: int, ncols: int, *dtypes) -> list:
     """``run_two`` over fn(i, *bufs), i in [0, n), each running index with its own work arrays.
 
@@ -216,46 +201,62 @@ def _split(fn, n: int, rows: int, ncols: int, *dtypes) -> list:
     return run_two(run, n)
 
 
-def _over_rows(block, nrows: int, ncols: int, *dtypes) -> None:
-    """Run block(lo, hi, *bufs) over the rows [0, nrows), on two threads when the grid is large.
+def _differences(out: np.ndarray, at: np.ndarray, poles: np.ndarray) -> np.ndarray:
+    """out = at[:, None] - poles by fill, then subtract: the broadcast's bits, but faster."""
+    out[:] = at[:, None]
+    return np.subtract(out, poles, out=out)
 
-    A grid of nrows x ncols below _THREAD_GRID is one block, with one work
-    array per dtype. A larger one is cut into blocks of _BLOCK_ROWS // 2
-    rows, each a ``compute.run_two`` index through ``_split``, so both
-    threads take the next block until none is left.
+
+def _over_rows(block, at: np.ndarray, poles: np.ndarray, *dtypes) -> None:
+    """Run block(lo, hi, diff, *bufs) over row blocks of at[:, None] - poles, two threads if large.
+
+    ``diff`` is at[lo:hi, None] - poles in the dtype of ``at``, which the
+    block reduces in place; ``bufs`` are work arrays of its shape, one per
+    dtype. A grid of at.size x poles.size below _THREAD_GRID is one block. A
+    larger one is cut into blocks of _BLOCK_ROWS rows, each a
+    ``compute.run_two`` index through ``_split``, so both threads take the
+    next block until none is left.
     """
+    nrows, ncols = at.size, poles.size
     if nrows * ncols < _THREAD_GRID:
-        block(0, nrows, *(np.empty((nrows, ncols), dt) for dt in dtypes))
+        diff = _differences(np.empty((nrows, ncols), at.dtype), at, poles)
+        block(0, nrows, diff, *(np.empty(diff.shape, dt) for dt in dtypes))
         return
-    height = _BLOCK_ROWS // 2
 
-    def rows(i, *bufs):
-        lo = i * height
-        hi = min(lo + height, nrows)
-        block(lo, hi, *(buf[:hi - lo] for buf in bufs))
+    def run(i, diff, *bufs):
+        lo = i * _BLOCK_ROWS
+        hi = min(lo + _BLOCK_ROWS, nrows)
+        block(lo, hi, _differences(diff[:hi - lo], at[lo:hi], poles),
+              *(buf[:hi - lo] for buf in bufs))
 
-    _split(rows, -(-nrows // height), height, ncols, *dtypes)
+    _split(run, -(-nrows // _BLOCK_ROWS), _BLOCK_ROWS, ncols, at.dtype, *dtypes)
 
 
-def _row_log_deriv_sums(w: np.ndarray, poles: np.ndarray):
-    """s1 = sum 1/(w - p) and s2 = sum 1/(w - p)^2 over ``poles`` at each w, by row reductions.
+def _log_deriv_sums(w: np.ndarray, poles: np.ndarray, weights: np.ndarray | None = None):
+    """s1 = sum c/(w - p) and s2 = sum c/(w - p)^2 over ``poles`` at each w.
 
-    ``poles`` repeats each root of P by its multiplicity, so s1 = P'/P. The
-    work array has the dtype of ``w``, real for the real gap solver.
+    Without ``weights``, c = 1 and ``poles`` repeats each root of P by its
+    multiplicity: each row is reduced by ``np.add.reduce``. With them,
+    ``poles`` are the distinct roots and c = ``weights`` their
+    multiplicities: the sums are BLAS matrix-vector products. Either way
+    s1 = P'/P. The work array has the dtype of ``w``, real for the real gap
+    solver.
     """
     s1 = np.empty_like(w)
     s2 = np.empty_like(w)
 
     def block(lo, hi, inv):
-        # fill, then subtract: the same bits, faster than a broadcast subtract
-        inv[:] = w[lo:hi, None]
-        np.subtract(inv, poles, out=inv)
         np.reciprocal(inv, out=inv)
-        np.add.reduce(inv, axis=1, out=s1[lo:hi])
-        np.square(inv, out=inv)
-        np.add.reduce(inv, axis=1, out=s2[lo:hi])
+        if weights is None:
+            np.add.reduce(inv, axis=1, out=s1[lo:hi])
+            np.square(inv, out=inv)
+            np.add.reduce(inv, axis=1, out=s2[lo:hi])
+        else:
+            s1[lo:hi] = inv @ weights
+            np.square(inv, out=inv)
+            s2[lo:hi] = inv @ weights
 
-    _over_rows(block, w.size, poles.size, w.dtype)
+    _over_rows(block, w, poles)
     return s1, s2
 
 
@@ -264,13 +265,11 @@ def _row_abs_sums(w: np.ndarray, poles: np.ndarray) -> np.ndarray:
     out = np.empty(w.size)
 
     def block(lo, hi, diff, inv):
-        diff[:] = w[lo:hi, None]
-        np.subtract(diff, poles, out=diff)
         np.abs(diff, out=inv)
         np.reciprocal(inv, out=inv)
         np.add.reduce(inv, axis=1, out=out[lo:hi])
 
-    _over_rows(block, w.size, poles.size, complex, float)
+    _over_rows(block, w, poles, float)
     return out
 
 
@@ -282,15 +281,13 @@ def _row_inverse_sums(w: np.ndarray, poles: np.ndarray, own: bool) -> np.ndarray
     out = np.empty_like(w)
 
     def block(lo, hi, inv):
-        inv[:] = w[lo:hi, None]
-        np.subtract(inv, poles, out=inv)
         if own:
             rows = np.arange(hi - lo)
             inv[rows, lo + rows] = np.inf
         np.reciprocal(inv, out=inv)
         np.add.reduce(inv, axis=1, out=out[lo:hi])
 
-    _over_rows(block, w.size, poles.size, complex)
+    _over_rows(block, w, poles)
     return out
 
 
@@ -317,9 +314,8 @@ def _row_repulsion(w: np.ndarray, fixed: np.ndarray) -> np.ndarray:
     def tile(k, buf):
         a, b = pairs[k]
         wa, wb = w[a * _TILE:(a + 1) * _TILE], w[b * _TILE:(b + 1) * _TILE]
-        inv = buf.reshape(-1)[:wa.size * wb.size].reshape(wa.size, wb.size)
-        inv[:] = wa[:, None]
-        np.subtract(inv, wb, out=inv)
+        inv = _differences(buf.reshape(-1)[:wa.size * wb.size].reshape(wa.size, wb.size),
+                           wa, wb)
         if a == b:
             np.fill_diagonal(inv, np.inf)
         np.reciprocal(inv, out=inv)
@@ -333,20 +329,6 @@ def _row_repulsion(w: np.ndarray, fixed: np.ndarray) -> np.ndarray:
     if fixed.size:
         out += _row_inverse_sums(w, fixed, own=False)
     return out
-
-
-def _sums_kernel(values: np.ndarray, counts: np.ndarray):
-    """The kernel of s1 = P'/P and s2 = sum c_j/(w - v_j)^2 for one critical_points call.
-
-    ``values`` are the distinct roots in ascending order and ``counts`` their
-    multiplicities. From degree _ROW_KERNEL_DEGREE: the BLAS-free row kernel
-    over every root, repeated by multiplicity. Below it: matrix-vector
-    products over the distinct roots, weighted by multiplicity. The kernel
-    takes only the evaluation points.
-    """
-    if counts.sum() >= _ROW_KERNEL_DEGREE:
-        return partial(_row_log_deriv_sums, poles=np.repeat(values, counts))
-    return partial(_log_deriv_sums, values=values, cnt=counts.astype(float))
 
 
 def _newton_steps(w: np.ndarray, sums):
@@ -365,16 +347,13 @@ def _newton_steps(w: np.ndarray, sums):
 def _row_nearest(w: np.ndarray, rows: np.ndarray, poles: np.ndarray) -> np.ndarray:
     """min |w[r] - p| over ``poles`` but poles[r], which is w[r], for each r in ``rows``."""
     out = np.empty(rows.size)
-    at = w[rows]
 
     def block(lo, hi, diff, dist):
-        diff[:] = at[lo:hi, None]
-        np.subtract(diff, poles, out=diff)
         np.abs(diff, out=dist)
         dist[np.arange(hi - lo), rows[lo:hi]] = np.inf
         np.minimum.reduce(dist, axis=1, out=out[lo:hi])
 
-    _over_rows(block, rows.size, poles.size, complex, float)
+    _over_rows(block, w[rows], poles, float)
     return out
 
 
@@ -445,15 +424,12 @@ def critical_points(p: RootPoly, *, max_iter: int = MAX_ITER) -> RootFindReport:
     drop = int(np.argmin(np.abs(values - centroid)))
     w = np.delete(values, drop)
     w = w + (centroid - w) * (0.5 / n)
-    # nudge any start point that landed exactly on a pole
-    for _ in range(3):
-        bad = np.isin(w, values)
-        if not bad.any():
-            break
-        w = np.where(bad, w + (1e-6 + 1e-6j) * (1.0 + np.abs(w)), w)
 
-    sums = _sums_kernel(values, counts)
     poles = np.repeat(values, counts)
+    if n >= _ROW_KERNEL_DEGREE:
+        sums = partial(_log_deriv_sums, poles=poles)
+    else:
+        sums = partial(_log_deriv_sums, poles=values, weights=counts.astype(float))
     active = np.arange(w.size)
     it, worst = 0, math.inf
     # one error state for every kernel of the sweeps: a point on a pole, or
@@ -521,7 +497,7 @@ def _gap_zeros(values: np.ndarray, counts: np.ndarray, gaps: np.ndarray) -> np.n
     # the model overflows only where its step gives way to Newton's
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(MAX_ITER):
-            g, s2 = _row_log_deriv_sums(x, poles)
+            g, s2 = _log_deriv_sums(x, poles)
             right = g > 0
             lo, hi = np.where(right, x, lo), np.where(right, hi, x)
             w, dl, dh = -g, d_lo - x, d_hi - x

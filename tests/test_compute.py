@@ -222,15 +222,15 @@ class TestBlasHold:
     def test_row_kernel_split_holds_blas_on_both_threads(self, two_threads, blas):
         # the first two blocks wait for each other, so each runs on its own
         # thread: the thread holding the first is met only by the other
-        nrows, height, seen = 256, rootsolve._BLOCK_ROWS // 2, set()
+        nrows, height, seen = 256, rootsolve._BLOCK_ROWS, set()
         meet = threading.Barrier(2, timeout=30)
 
-        def block(lo, hi, buf):
+        def block(lo, hi, diff):
             if lo < 2 * height:
                 meet.wait()
             seen.add((threading.current_thread().name, blas_threads()))
 
-        rootsolve._over_rows(block, nrows, rootsolve._THREAD_GRID // 128, float)
+        rootsolve._over_rows(block, np.zeros(nrows), np.zeros(rootsolve._THREAD_GRID // 128))
         assert len({name for name, _ in seen}) == 2
         assert {count for _, count in seen} == {1}
         assert blas_threads() == 2

@@ -159,24 +159,20 @@ class TestDeflation:
     FULL_SWEEP_ROWS = 25_584
 
     def test_sweep_budget(self, monkeypatch):
-        # count the rows of both log-derivative kernels: at degree 1600 every
-        # one must come from the row kernel, so the counter cannot pass idle
-        rows = {"_log_deriv_sums": [], "_row_log_deriv_sums": []}
+        # count the rows of the log-derivative sums by route: at degree 1600
+        # every one must be a row reduction, so the counter cannot pass idle
+        rows = {"weighted": [], "row": []}
+        sums = rootsolve._log_deriv_sums
 
-        def counting(name):
-            sums = getattr(rootsolve, name)
+        def counted(w, poles, weights=None):
+            rows["row" if weights is None else "weighted"].append(w.size)
+            return sums(w, poles, weights)
 
-            def counted(w, *args, **kwargs):
-                rows[name].append(w.size)
-                return sums(w, *args, **kwargs)
-            return counted
-
-        for name in rows:
-            monkeypatch.setattr(rootsolve, name, counting(name))
+        monkeypatch.setattr(rootsolve, "_log_deriv_sums", counted)
         rep = critical_points(RootPoly(thm1_roots(1600)))
         assert rep.roots.size == 1599
-        assert rows["_log_deriv_sums"] == [] and rows["_row_log_deriv_sums"]
-        assert sum(rows["_row_log_deriv_sums"]) <= self.FULL_SWEEP_ROWS // 2
+        assert rows["weighted"] == [] and rows["row"]
+        assert sum(rows["row"]) <= self.FULL_SWEEP_ROWS // 2
         # each point froze only after one more correction, so its certificate
         # sits at the rounding floor rather than just under NEWTON_TOL
         assert rep.residuals.max() <= 1e-2 * NEWTON_TOL
@@ -220,10 +216,13 @@ class TestDeflation:
         rep = critical_points(RootPoly(roots))
         w = rep.roots
         assert rep.residuals.max() <= NEWTON_TOL
-        # the same evaluation as the solver's, at the returned positions
+        # the same evaluation as the solver's, at the returned positions:
+        # weighted over the distinct roots below the row-kernel degree
         values, counts = np.unique(roots, return_counts=True)
-        sums = rootsolve._sums_kernel(values, counts)
-        s1, s2 = sums(w)
+        if roots.size >= rootsolve._ROW_KERNEL_DEGREE:
+            s1, s2 = rootsolve._log_deriv_sums(w, np.repeat(values, counts))
+        else:
+            s1, s2 = rootsolve._log_deriv_sums(w, values, counts.astype(float))
         # the solver steps on the roots times 2^-e, max|root| in [1, 2), so
         # its step test 1 + |w| reads 2^e + |w| here (2^e = 1 for thm1)
         scale = 2.0 ** (math.frexp(np.abs(roots).max())[1] - 1)
@@ -233,6 +232,46 @@ class TestDeflation:
         inv = 1.0 / (w[:, None] - roots[None, :])
         s1, s2 = inv.sum(axis=1), (inv * inv).sum(axis=1)
         assert np.max(np.abs(s1 / (s1 * s1 - s2)) / (scale + np.abs(w))) <= NEWTON_TOL
+
+    @pytest.mark.parametrize("n, weighted", [(79, True), (80, False)])
+    def test_degree_picks_the_log_deriv_route(self, n, weighted, monkeypatch):
+        routes = []
+        sums = rootsolve._log_deriv_sums
+
+        def spied(w, poles, weights=None):
+            routes.append(weights is not None)
+            return sums(w, poles, weights)
+
+        monkeypatch.setattr(rootsolve, "_log_deriv_sums", spied)
+        assert critical_points(RootPoly(thm1_roots(n))).roots.size == n - 1
+        assert routes and set(routes) == {weighted}
+
+
+def derivative_roots_mp(roots):
+    """Roots of P' for P = prod(z - r) over integer roots r, by 40-digit mpmath.polyroots."""
+    c = [1]
+    for r in roots:
+        c = [a - r * b for a, b in zip(c + [0], [0] + c)]
+    n = len(c) - 1
+    with mpmath.workdps(40):
+        return [complex(z) for z in mpmath.polyroots([a * (n - k) for k, a in enumerate(c[:-1])],
+                                                     maxsteps=200, extraprec=200)]
+
+
+@pytest.mark.parametrize("roots", [[-20, -19, -3], [-20, -18, 14], [-19, -18, -2]])
+def test_start_point_on_a_pole_certifies(roots):
+    # a start point lands exactly on a root of P, where the Newton step is
+    # not finite and its fallback 1e-3 (1 + |w|) moves the point off; the
+    # root nearest the centroid, roots[1], has no start point
+    start = np.delete(np.array(roots, float), 1)
+    assert np.isin(start + (np.mean(roots) - start) * (0.5 / 3), roots).any()
+    rep = critical_points(RootPoly(np.array(roots, dtype=complex)))
+    assert rep.residuals.max() <= NEWTON_TOL
+    # measured: equal to the reference converted to doubles
+    ref = derivative_roots_mp(roots)
+    for w, z in zip(sorted(rep.roots.tolist(), key=lambda z: z.real),
+                    sorted(ref, key=lambda z: z.real)):
+        assert abs(w - z) <= 1e-15 * abs(z)
 
 
 SCALE_PROBE = np.array([1, 2, 3, 1j, 2 + 1j, -1.5 + 0.5j])
@@ -478,28 +517,28 @@ class TestRowThreads:
     @pytest.mark.parametrize("state", ["raise", "ignore"])
     def test_pool_half_runs_under_the_callers_error_state(self, threads, state):
         # numpy's error state is per thread: the pool thread must take the
-        # caller's. Every row divides by zero. The first two blocks wait for
-        # each other, so the thread holding the first can only be met by the
-        # other taking the second: each runs on its own thread.
+        # caller's. Every row divides by zero, at its first pole. The first
+        # two blocks wait for each other, so the thread holding the first can
+        # only be met by the other taking the second: each runs on its own
+        # thread.
         threads(2)
-        nrows, height, names, raised = 256, rootsolve._BLOCK_ROWS // 2, set(), set()
+        nrows, height, names, raised = 256, rootsolve._BLOCK_ROWS, set(), set()
         meet = threading.Barrier(2, timeout=30)
 
-        def block(lo, hi, buf):
+        def block(lo, hi, diff):
             name = threading.current_thread().name
             if lo < 2 * height:
                 meet.wait()
-            buf[:] = 1.0
-            buf[:, 0] = 0.0
             try:
-                np.reciprocal(buf, out=buf)
+                np.reciprocal(diff, out=diff)
             except FloatingPointError:
                 raised.add(name)
                 raise
             names.add(name)
 
         def run():
-            rootsolve._over_rows(block, nrows, rootsolve._THREAD_GRID // 128, float)
+            rootsolve._over_rows(block, np.zeros(nrows),
+                                 np.arange(rootsolve._THREAD_GRID // 128, dtype=float))
 
         with warnings.catch_warnings(), np.errstate(divide=state):
             warnings.simplefilter("error")
@@ -510,6 +549,34 @@ class TestRowThreads:
                 run()
         ran = raised if state == "raise" else names
         assert any(name.startswith("spectralab-compute") for name in ran)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("nrows", [100, 200], ids=["one-block", "split"])
+    def test_blocks_get_the_broadcast_differences(self, threads, dtype, nrows):
+        # 100 x 1000 is below _THREAD_GRID and 200 x 1000 is not
+        threads(2)
+        rng = np.random.default_rng(nrows)
+
+        def draw(size):
+            x, y = rng.normal(size=(2, size))
+            return x + 1j * y if dtype is complex else x
+
+        at, poles = draw(nrows), draw(1000)
+        got = []
+
+        def block(lo, hi, diff, dist):
+            assert dist.shape == diff.shape and dist.dtype == float
+            got.append((lo, hi, diff.dtype, diff.tobytes()))
+
+        rootsolve._over_rows(block, at, poles, float)
+        got.sort()
+        if nrows * poles.size < rootsolve._THREAD_GRID:
+            assert [(lo, hi) for lo, hi, *_ in got] == [(0, nrows)]
+        else:
+            bounds = list(range(0, nrows, rootsolve._BLOCK_ROWS)) + [nrows]
+            assert [(lo, hi) for lo, hi, *_ in got] == list(zip(bounds, bounds[1:]))
+        for lo, hi, kind, bits in got:
+            assert kind == dtype and bits == (at[lo:hi, None] - poles).tobytes()
 
     def test_small_degrees_start_no_pool(self, threads, monkeypatch):
         threads(2)
@@ -658,13 +725,13 @@ class TestGapZeros:
 
     def test_sweep_budget(self, monkeypatch):
         calls = []
-        sums = rootsolve._row_log_deriv_sums
+        sums = rootsolve._log_deriv_sums
 
         def counted(*args):
             calls.append(1)
             return sums(*args)
 
-        monkeypatch.setattr(rootsolve, "_row_log_deriv_sums", counted)
+        monkeypatch.setattr(rootsolve, "_log_deriv_sums", counted)
         x = np.sort(np.random.default_rng(4).exponential(size=2000))
         assert real_interlaced_critical_points(x).size == 1999
         assert 1 <= len(calls) <= 10
