@@ -3,7 +3,7 @@
 Library modules:
 
 - polycore: root-based polynomials and logarithmic derivatives
-- rootsolve: root-based critical points, companion roots, interlacing Newton
+- rootsolve: root-based critical points, companion roots, bracketed secular solves
 - measures: empirical-measure distances, discrepancy, hull geometry, potentials
 - matching: l1 matching distances and extremal spacing statistics
 - randgen: deterministic seeded sampling

@@ -443,10 +443,8 @@ def poisson_jensen_residual(zeros, poles, z: complex, R: float, quad_nodes: int)
         with np.errstate(divide="ignore"):
             for lo in range(0, points.size, _QUAD_BLOCK):
                 blk = points[lo:lo + _QUAD_BLOCK, None]
-                if zs.size:
-                    t[lo:lo + _QUAD_BLOCK] += np.sum(np.log(np.abs(blk - zs)), axis=1)
-                if ps.size:
-                    t[lo:lo + _QUAD_BLOCK] -= np.sum(np.log(np.abs(blk - ps)), axis=1)
+                t[lo:lo + _QUAD_BLOCK] += np.sum(np.log(np.abs(blk - zs)), axis=1)
+                t[lo:lo + _QUAD_BLOCK] -= np.sum(np.log(np.abs(blk - ps)), axis=1)
         return t
 
     theta = 2.0 * np.pi * np.arange(quad_nodes) / quad_nodes

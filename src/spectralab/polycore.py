@@ -48,8 +48,6 @@ def canonical_order(points: Iterable[complex]) -> np.ndarray:
     """
     arr = np.asarray(list(points) if not isinstance(points, np.ndarray) else points,
                      dtype=complex).ravel()
-    if arr.size == 0:
-        return arr
     idx = np.lexsort((arr.imag, arr.real))
     return arr[idx]
 
@@ -124,8 +122,6 @@ def expand_coefficients(p: RootPoly) -> np.ndarray:
     """
     roots = p.root_array()
     coeffs = np.array([p.leading], dtype=complex)
-    if roots.size == 0:
-        return coeffs
     order = np.argsort(-np.abs(roots), kind="stable")
     for r in roots[order]:
         nxt = np.zeros(coeffs.size + 1, dtype=complex)

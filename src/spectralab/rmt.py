@@ -363,12 +363,11 @@ def generalized_schur(chain: Sequence[np.ndarray]) -> SchurChain:
         product = product @ m
     t_full, u1 = scipy.linalg.schur(product, output="complex")
     eig = np.diag(t_full)
-    if n > 1:
-        gaps = np.abs(eig[:, None] - eig[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        if float(gaps.min()) <= 1e-8:
-            raise DegenerateSpectrum(
-                f"product eigenvalues too close (min gap {gaps.min():.3e})")
+    gaps = np.abs(eig[:, None] - eig[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    if float(gaps.min()) <= 1e-8:
+        raise DegenerateSpectrum(
+            f"product eigenvalues too close (min gap {gaps.min():.3e})")
 
     unitaries = [u1]
     factors = []

@@ -145,8 +145,6 @@ def companion_roots(coeffs) -> np.ndarray:
     if c[-1] == 0:
         raise DegenerateInput("zero leading coefficient")
     n = c.size - 1
-    if n == 1:
-        return np.array([-c[0] / c[1]])
     comp = np.zeros((n, n), dtype=complex)
     comp[1:, :-1] = np.eye(n - 1)
     comp[:, -1] = -c[:-1] / c[-1]
@@ -291,21 +289,21 @@ def _row_inverse_sums(w: np.ndarray, poles: np.ndarray, own: bool) -> np.ndarray
     return out
 
 
-def _row_repulsion(w: np.ndarray, fixed: np.ndarray) -> np.ndarray:
-    """Aberth term sum_{j != i} 1/(w_i - w_j) + sum_k 1/(w_i - fixed_k) at each w_i.
+def _row_repulsion(w: np.ndarray, frozen: np.ndarray) -> np.ndarray:
+    """Aberth term sum_{j != i} 1/(w_i - w_j) + sum_k 1/(w_i - frozen_k) at each w_i.
 
-    Below _THREAD_GRID, w.size x (w.size + fixed.size), it is one row
+    Below _THREAD_GRID, w.size x (w.size + frozen.size), it is one row
     kernel. From there the w x w part, which is antisymmetric, is cut into
     square tiles (a, b), a <= b, of _TILE points a side, and each tile forms
     its reciprocals once: its row sums go to the rows of tile a and its
     negated column sums, the same terms to the bit, to the rows of tile b.
     The tiles are ``compute.run_two`` indices; their sums are stored by tile
     and added in tile order, so the result depends on _TILE but not on the
-    thread count. The fixed columns stay a row kernel.
+    thread count. The frozen columns stay a row kernel.
     """
     m = w.size
-    if m * (m + fixed.size) < _THREAD_GRID:
-        return _row_inverse_sums(w, np.concatenate([w, fixed]), own=True)
+    if m * (m + frozen.size) < _THREAD_GRID:
+        return _row_inverse_sums(w, np.concatenate([w, frozen]), own=True)
     nt = -(-m // _TILE)
     pairs = [(a, b) for a in range(nt) for b in range(a, nt)]
     # parts[a, b]: the sums over the points of tile b for the rows of tile a
@@ -326,8 +324,8 @@ def _row_repulsion(w: np.ndarray, fixed: np.ndarray) -> np.ndarray:
 
     _split(tile, len(pairs), _TILE, _TILE, complex)
     out = np.add.reduce(parts, axis=1).reshape(-1)[:m]
-    if fixed.size:
-        out += _row_inverse_sums(w, fixed, own=False)
+    if frozen.size:
+        out += _row_inverse_sums(w, frozen, own=False)
     return out
 
 
@@ -344,8 +342,8 @@ def _newton_steps(w: np.ndarray, sums):
     return np.where(np.isfinite(newton), newton, 1e-3 * (1.0 + np.abs(w))), s1, den
 
 
-def _row_nearest(w: np.ndarray, rows: np.ndarray, poles: np.ndarray) -> np.ndarray:
-    """min |w[r] - p| over ``poles`` but poles[r], which is w[r], for each r in ``rows``."""
+def _row_nearest(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """min |w[r] - w[j]| over j != r, for each r in ``rows``."""
     out = np.empty(rows.size)
 
     def block(lo, hi, diff, dist):
@@ -353,27 +351,26 @@ def _row_nearest(w: np.ndarray, rows: np.ndarray, poles: np.ndarray) -> np.ndarr
         dist[np.arange(hi - lo), rows[lo:hi]] = np.inf
         np.minimum.reduce(dist, axis=1, out=out[lo:hi])
 
-    _over_rows(block, w[rows], poles, float)
+    _over_rows(block, w[rows], w, float)
     return out
 
 
-def _isolated(w: np.ndarray, cand: np.ndarray, fixed: np.ndarray, s1: np.ndarray,
-              den: np.ndarray, roots: np.ndarray) -> np.ndarray:
+def _isolated(w: np.ndarray, cand: np.ndarray, s1: np.ndarray, den: np.ndarray,
+              roots: np.ndarray) -> np.ndarray:
     """Whether the inclusion disk of each candidate w[cand] is clear of its neighbours.
 
     A disk of radius m |P'/P''| about w holds a root of P', m = deg P'. Here
     |P'/P| = |s1| is raised by its rounding bound 4 eps sum 1/|w - r| over
     ``roots``, the roots of P repeated by multiplicity, and den = s1^2 - s2 =
     P''/P. The disk is clear when its radius is below half the distance from
-    w to the nearest other approximation or fixed point. At a multiple
+    w to the nearest other point of ``w``, frozen or not. At a multiple
     critical point s1 rounds to 0, and the rounding bound keeps the disk
     wide. The bound and the distances are row kernels, each row reduced on
     its own, so a large pass runs on two threads with unchanged bits.
     """
-    poles = np.concatenate([w, fixed])
     eps = np.finfo(float).eps
-    radius = poles.size * (np.abs(s1) + 4.0 * eps * _row_abs_sums(w[cand], roots)) / np.abs(den)
-    return radius < 0.5 * _row_nearest(w, cand, poles)
+    radius = w.size * (np.abs(s1) + 4.0 * eps * _row_abs_sums(w[cand], roots)) / np.abs(den)
+    return radius < 0.5 * _row_nearest(w, cand)
 
 
 def critical_points(p: RootPoly, *, max_iter: int = MAX_ITER) -> RootFindReport:
@@ -381,23 +378,23 @@ def critical_points(p: RootPoly, *, max_iter: int = MAX_ITER) -> RootFindReport:
 
     Aberth iteration on P'/P, using only the roots of P: no coefficients are
     formed, so the accuracy does not depend on their size. A root of
-    multiplicity m contributes m-1 critical points at itself; those are
-    emitted directly and enter the repulsion sum as fixed points.
+    multiplicity m contributes m-1 critical points at itself: copies of it
+    that are frozen from the start.
 
     The iteration is deflated, as in MPSolve (Bini & Robol, JCAM 2014): each
     sweep evaluates P'/P and the repulsion sum only at the active points. A
     point whose undamped Newton step |P'/P''| / (1 + |w|) is at most
     NEWTON_TOL still takes that sweep's correction, and then freezes if its
     inclusion disk is clear of every other point (``_isolated``); frozen
-    points stay in the repulsion sum as fixed poles. Points at a multiple
+    points stay in the repulsion sum as poles. Points at a multiple
     critical point are never isolated, so they iterate together until all
     active points have converged. When none is left active, a certification
-    sweep evaluates the Newton step of every point at its final position;
-    any point above NEWTON_TOL goes back to the active set. ``residuals``
-    holds the certified steps (0 for the fixed points). Raises NoConvergence
-    after ``max_iter`` sweeps without a passing certification sweep, which
-    is the iteration's only stop, DegenerateInput when a root is not finite
-    or the degree is below 2.
+    sweep evaluates the Newton step of every point but the copies at its
+    final position; any point above NEWTON_TOL goes back to the active set.
+    ``residuals`` holds the certified steps (0 for the copies, which come
+    first). Raises NoConvergence after ``max_iter`` sweeps without a passing
+    certification sweep, which is the iteration's only stop, DegenerateInput
+    when a root is not finite or the degree is below 2.
 
     The sweeps run on the roots times 2^-e, where e puts max|root| in
     [1, 2) (or is the nearest that keeps every normal part normal), and the
@@ -418,33 +415,33 @@ def critical_points(p: RootPoly, *, max_iter: int = MAX_ITER) -> RootFindReport:
     # halved, so that no |value| overflows
     e = _scale_exponent(np.abs(values * 0.5).max(), values.view(float))
     roots, values = _ldexp(roots, -e), _ldexp(values, -e)
-    fixed = np.repeat(values, counts - 1)
 
     centroid = roots.mean()
     drop = int(np.argmin(np.abs(values - centroid)))
     w = np.delete(values, drop)
-    w = w + (centroid - w) * (0.5 / n)
+    m = w.size
+    # the m approximations, then the copies of the multiple roots, frozen throughout
+    w = np.concatenate([w + (centroid - w) * (0.5 / n), np.repeat(values, counts - 1)])
 
     poles = np.repeat(values, counts)
     if n >= _ROW_KERNEL_DEGREE:
         sums = partial(_log_deriv_sums, poles=poles)
     else:
         sums = partial(_log_deriv_sums, poles=values, weights=counts.astype(float))
-    active = np.arange(w.size)
+    active = np.arange(m)
     it, worst = 0, math.inf
     # one error state for every kernel of the sweeps: a point on a pole, or
     # P'' = 0, gives a step that the isfinite tests below replace
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(1, max_iter + 1):
             if not active.size:
-                # certification: every point's undamped step at its final position
-                newton, _, _ = _newton_steps(w, sums)
-                steps = np.abs(newton) / (1.0 + np.abs(w))
+                # certification: every approximation's undamped step at its final position
+                newton, _, _ = _newton_steps(w[:m], sums)
+                steps = np.abs(newton) / (1.0 + np.abs(w[:m]))
                 worst = float(steps.max())
                 if worst <= NEWTON_TOL:
-                    return RootFindReport(_ldexp(np.concatenate([fixed, w]), e),
-                                          np.concatenate([np.zeros(fixed.size), steps]),
-                                          it)
+                    return RootFindReport(_ldexp(np.concatenate([w[m:], w[:m]]), e),
+                                          np.concatenate([np.zeros(w.size - m), steps]), it)
                 active = np.flatnonzero(steps > NEWTON_TOL)
                 continue
             wa = w[active]
@@ -456,10 +453,10 @@ def critical_points(p: RootPoly, *, max_iter: int = MAX_ITER) -> RootFindReport:
             freeze = steps <= NEWTON_TOL
             cand = np.flatnonzero(freeze)
             if 0 < cand.size < active.size:
-                freeze[cand] = _isolated(w, active[cand], fixed, s1[cand], den[cand], poles)
+                freeze[cand] = _isolated(w, active[cand], s1[cand], den[cand], poles)
             frozen = np.ones(w.size, dtype=bool)
             frozen[active] = False
-            corr = newton / (1.0 - newton * _row_repulsion(wa, np.concatenate([w[frozen], fixed])))
+            corr = newton / (1.0 - newton * _row_repulsion(wa, w[frozen]))
             corr = np.where(np.isfinite(corr), corr, newton)
             w[active] = wa - corr
             active = active[~freeze]

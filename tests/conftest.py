@@ -22,6 +22,18 @@ def assert_multiset_close(a, b, tol=1e-8):
     assert worst <= tol, f"multiset mismatch: worst pair distance {worst:.3e} > {tol:.1e}"
 
 
+def assert_outcome(call, expected):
+    """call() raises exactly the exception class ``expected``, or returns a value equal to it."""
+    if isinstance(expected, type) and issubclass(expected, Exception):
+        with pytest.raises(expected) as info:
+            call()
+        assert info.type is expected
+    else:
+        # an expected array must match in shape and dtype too
+        np.testing.assert_array_equal(call(), expected,
+                                      strict=isinstance(expected, np.ndarray))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250808)

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spectralab.errors import BadParams, NoConvergence, UnknownExperiment
+from conftest import assert_outcome
+from spectralab.errors import BadParams, EmptyMeasure, IoError, NoConvergence, UnknownExperiment
 from spectralab.labcli import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -478,6 +479,13 @@ class TestScatterSvg:
         emit_scatter_svg([0.5 + 0.5j, -1.0], p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("write, expected", [
+        (lambda d: emit_scatter_svg([], d / "empty.svg"), EmptyMeasure),
+        (lambda d: emit_scatter_svg([1.0, 1j], d), IoError),
+    ], ids=["empty-cloud", "directory-path"])
+    def test_refusals(self, write, expected, tmp_path):
+        assert_outcome(lambda: write(tmp_path), expected)
+
     def test_svg_param_writes_file(self, tmp_path):
         cfg = ExperimentConfig("poisson-limit", 5, 1, {"n": 8, "svg": 1},
                                tmp_path / "p")
@@ -713,6 +721,29 @@ class TestCli:
         assert main(["run", "--config", str(cfgfile)]) == 0
         summary = json.loads((tmp_path / "cfgout" / "summary.json").read_text())
         assert summary["seed"] == 77
+
+    @pytest.mark.parametrize("args, files, message", [
+        (["run", "--experiment", "poisson-limit"], {}, "SPECTRA_SEED must be an integer"),
+        (["run", "--config", "missing.cfg"], {}, "cannot read config file"),
+        (["run", "--config", "exp.cfg"], {"exp.cfg": "experiment=poisson-limit\nn 8\n"},
+         "expected key=value"),
+        (["run", "--trials", "1"], {}, "an experiment name is required"),
+        (["run", "--experiment", "poisson-limit", "--seed", "1", "--param", "foo"], {},
+         "--param expects K=V"),
+        (["verify"], {}, "cannot locate tests/test_acceptance.py"),
+    ], ids=["bad-env-seed", "unreadable-config", "line-without-equals", "no-experiment",
+            "param-without-equals", "verify-without-suite"])
+    def test_refusals_exit_2(self, args, files, message, captured, tmp_path, monkeypatch,
+                             capsys):
+        # from an empty directory, where verify finds no acceptance suite; the
+        # seed from the environment is read only when no other is given
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("SPECTRA_SEED", "abc")
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert main(args) == 2
+        assert message in capsys.readouterr().err
+        assert captured == []
 
     def test_list_subcommand(self, capsys):
         assert main(["list"]) == 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import renyi_exponential_order_stats
+from conftest import assert_outcome, renyi_exponential_order_stats
 from spectralab.errors import (
     AlphaNotLeft,
     ComplexRoots,
@@ -203,3 +203,12 @@ class TestRenyi:
     def test_output_sorted(self, e):
         out = renyi_exponential_order_stats(e)
         assert np.all(np.diff(out) >= 0)
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: sorted_l1([], []), SizeMismatch),
+    (lambda: interlace_shift_check([1.0], 0.0), SizeMismatch),
+    (lambda: extremal_gap_statistic([1.0, 2.0]), SizeMismatch),
+], ids=["empty-sets", "one-root", "two-values"])
+def test_refusals(call, expected):
+    assert_outcome(call, expected)

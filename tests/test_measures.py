@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     angular_discrepancy_pairs,
+    assert_outcome,
     hull_contains_loop,
     log_abs_log_deriv_scalar,
     potential_diagnostics_loop,
@@ -447,6 +448,16 @@ class TestPoissonJensen:
             assert poisson_jensen_residual(zeros, poles, z, R, 4096) <= 1e-8
 
 
+    def test_empty_zero_or_pole_set(self):
+        # f = 1 has log|f| = 0 everywhere; a lone zero set and the same set
+        # as poles give negated sums, so their defects are equal to the bit
+        assert poisson_jensen_residual([], [], 0.3 + 0.1j, 2.0, 64) == 0.0
+        pts = np.array([0.5 + 0.2j, -1.4, 3.0j, 0.1 - 0.9j])
+        lone = poisson_jensen_residual(pts, [], 0.3 + 0.1j, 2.0, 256)
+        assert lone == poisson_jensen_residual([], pts, 0.3 + 0.1j, 2.0, 256)
+        assert lone <= 1e-12
+
+
 class TestBlockedTemporaries:
     """The direction x point and node x zero temporaries go in fixed blocks.
 
@@ -517,3 +528,24 @@ class TestEmpiricalMeasure:
     def test_cluster_spec_validates(self):
         with pytest.raises(ValueError):
             ClusterSpec([0.0, 0.5], radius=0.5, separation=5.0)
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: EmpiricalMeasure([1.0, 2j]).real_support(), ValueError),
+    (lambda: angular_discrepancy([]), EmptyMeasure),
+    (lambda: erdos_turan_rhs([1.0], 1.0), VanishingEndCoefficient),
+    (lambda: convex_hull_contains([], [0.0], 0.1), EmptyMeasure),
+    (lambda: walsh_constant(0, 0.1, 5.0), HypothesisViolated),
+    (lambda: ClusterSpec([0.0], 0.0, 1.0), ValueError),
+    (lambda: cluster_deficiency(ClusterSpec([0.0], 1.0, 1.0), [0.0], 0.0, 1), ValueError),
+    (lambda: concentration_estimate([1.0, 2.0], 0.0), ValueError),
+    (lambda: concentration_estimate([], 0.1), EmptyMeasure),
+    (lambda: potential_diagnostics(WeightedLogDeriv([0.5]), [2.0], 0.1, 1.0, 32), ValueError),
+    (lambda: potential_diagnostics(WeightedLogDeriv([]), [2.0], 0.1, 1.0, 64), EmptyMeasure),
+    (lambda: poisson_jensen_residual([0.5], [], 2.0, 2.0, 64), ValueError),
+    (lambda: ks_two_sample([], [1.0]), EmptyMeasure),
+], ids=["non-real-support", "empty-discrepancy", "degree-0-erdos-turan", "empty-hull",
+        "walsh-k-0", "cluster-radius-0", "deficiency-eps-0", "concentration-delta-0",
+        "concentration-no-samples", "grid-size-32", "no-poles", "z-on-contour", "empty-ks"])
+def test_refusals(call, expected):
+    assert_outcome(call, expected)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import log_abs_log_deriv_scalar
+from conftest import assert_outcome, log_abs_log_deriv_scalar
 from spectralab.errors import NearPole, SizeMismatch, ZeroDegree
 from spectralab.polycore import (
     RootPoly,
@@ -222,3 +222,15 @@ class TestSerialization:
         pts = [1 + 1j, -1 + 0j, 1 - 1j, 0 + 0j]
         ordered = canonical_order(pts)
         np.testing.assert_allclose(ordered, [-1, 0, 1 - 1j, 1 + 1j])
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: log_abs_log_deriv(WeightedLogDeriv([1.0, 1j], [0.0, 0.0]), 2.0), -math.inf),
+    # inf / (2 - 1) has a nan imaginary part, which numpy flags as invalid
+    (lambda: np.errstate(invalid="ignore")(log_abs_log_deriv)(
+        WeightedLogDeriv([1.0, 1j], [math.inf, 1.0]), 2.0), math.inf),
+    (lambda: expand_coefficients(RootPoly([], 2.5 - 1j)), np.array([2.5 - 1j])),
+    (lambda: canonical_order([]), np.array([], dtype=complex)),
+], ids=["zero-weights", "infinite-weight", "no-roots", "empty-order"])
+def test_edge_values(call, expected):
+    assert_outcome(call, expected)

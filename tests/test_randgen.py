@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import renyi_exponential_order_stats
+from conftest import assert_outcome, renyi_exponential_order_stats
 from spectralab.errors import BadProbability, SizeMismatch
 from spectralab.measures import ks_two_sample, wasserstein1_1d
 from spectralab.randgen import (
     RngStream,
+    _gen,
+    bernoulli_entries,
     sample_complex_gaussian,
     sample_exponential,
     two_sequence_pick,
@@ -105,3 +107,13 @@ class TestRenyiCrossCheck:
         direct = np.concatenate([
             np.sort(sample_exponential(g2, n)) for _ in range(trials)])
         assert ks_two_sample(via_renyi, direct) < 0.03
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: _gen("x"), TypeError),
+    (lambda: sample_complex_gaussian(RngStream(1), 3, variance=0.0), ValueError),
+    (lambda: sample_exponential(RngStream(1), 3, rate=0.0), ValueError),
+    (lambda: bernoulli_entries(1.0), BadProbability),
+], ids=["not-a-generator", "variance-0", "rate-0", "bernoulli-q-1"])
+def test_refusals(call, expected):
+    assert_outcome(call, expected)

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from conftest import (
     assert_multiset_close,
+    assert_outcome,
     expected_count_mp,
     poisson_cdf_mp,
     traced_peak_mib,
@@ -329,6 +330,18 @@ class TestGeneralizedSchur:
             assert_multiset_close(ch.product_eigenvalues(),
                                   eigenvalues(prod).eigenvalues, 1e-8)
 
+    def test_one_by_one_chains(self):
+        g = RngStream(107).generator()
+        for k in (1, 2, 3):
+            mats = [sample_ginibre(g, 1, 1.0) for _ in range(k)]
+            ch = generalized_schur(mats)
+            for ell in range(k):
+                assert abs(ch.unitaries[ell][0, 0]) == pytest.approx(1.0, abs=1e-15)
+                err = abs(ch.reconstruct(ell)[0, 0] - mats[ell][0, 0])
+                assert err <= 1e-15 * abs(mats[ell][0, 0])
+            prod = math.prod(m[0, 0] for m in mats)
+            assert_multiset_close(ch.product_eigenvalues(), [prod], 1e-15 * abs(prod))
+
     def test_degenerate_spectrum_refused(self):
         with pytest.raises(DegenerateSpectrum):
             generalized_schur([np.diag([1.0 + 0j, 1.0, 2.0])])
@@ -455,3 +468,17 @@ class TestRepulsion:
             nn = d.min(axis=1)
             close_fraction.append(np.mean(nn < 0.1 * nn.mean()))
         assert np.mean(close_fraction) <= 0.02
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: eigenvalues(np.array([[1.0, np.nan], [0.0, 1.0]])), WrongSize),
+    (lambda: eigenvalues(np.zeros((3, 3))).residual, 0.0),
+    (lambda: generalized_schur([]), WrongSize),
+    (lambda: generalized_schur([np.eye(2), np.eye(3)]), WrongSize),
+    (lambda: real_eig_probability(RngStream(1), 2, 1, gaussian_entries, 0), ValueError),
+    # n r^(2/n) = 2500 is past rmt._rate_cap(0) = 1679.8
+    (lambda: cross_term(1, 50.0, 50.0), 0.0),
+], ids=["non-finite-matrix", "zero-matrix-residual", "empty-chain", "mixed-sizes",
+        "zero-trials", "past-rate-cap"])
+def test_edge_inputs(call, expected):
+    assert_outcome(call, expected)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_multiset_close
+from conftest import assert_multiset_close, assert_outcome
 import spectralab.compute as compute
 import spectralab.rootsolve as rootsolve
 from spectralab.errors import DegenerateInput, NoConvergence
@@ -58,6 +58,11 @@ class TestSolveAll:
             solve_all([1.0])
         with pytest.raises(DegenerateInput):
             solve_all([1.0, 0.0])
+
+    @pytest.mark.parametrize("coeffs", [[3.0, 2.0], [1 - 2j, 0.5j], [0.0, 7.0], [1e-300, 1e300]])
+    def test_degree_one_companion_is_the_quotient(self, coeffs):
+        c = np.asarray(coeffs, dtype=complex)
+        np.testing.assert_array_equal(companion_roots(c), [-c[0] / c[1]])
 
     @pytest.mark.parametrize("coeffs", [[np.nan, 1.0], [1.0, np.nan, 1.0],
                                         [1.0, 2.0, np.inf], [-np.inf, 1.0]])
@@ -126,6 +131,15 @@ class TestCriticalPoints:
         with pytest.raises(DegenerateInput):
             critical_points(RootPoly([1.0]))
 
+    def test_multiple_root_copies_come_first_exactly(self):
+        # np.unique orders the values by real part, then imaginary part
+        roots = [0.5, -1.0, 2j, 0.5, 1.5, 2j, 0.5]
+        rep = critical_points(RootPoly(roots))
+        np.testing.assert_array_equal(rep.roots[:3], [2j, 0.5, 0.5])
+        np.testing.assert_array_equal(rep.residuals[:3], 0.0)
+        assert rep.residuals.max() <= NEWTON_TOL
+        assert rep.roots.size == len(roots) - 1
+
     @pytest.mark.parametrize("roots", [[0.0, 1.0, np.nan], [0.0, 1j, np.inf],
                                        [-np.inf, 0.0, 1.0]])
     def test_non_finite_refused(self, roots):
@@ -193,6 +207,38 @@ class TestDeflation:
         for roots in (thm1_roots(1600), walsh):
             critical_points(RootPoly(roots))
         assert sizes and min(sizes) > 0
+
+    @pytest.mark.parametrize("n", [40, 400], ids=["weighted", "row"])
+    def test_certification_sweep_reactivates_a_failing_point(self, n, monkeypatch):
+        # the last Newton evaluation of a solve is its passing certification
+        # sweep; inflating one of its steps must send that point back to the
+        # active set for one more sweep and a second certification
+        steps = rootsolve._newton_steps
+        calls = []
+
+        def counted(w, sums):
+            calls.append(w.size)
+            return steps(w, sums)
+
+        monkeypatch.setattr(rootsolve, "_newton_steps", counted)
+        base = critical_points(RootPoly(thm1_roots(n)))
+        cert, seen = len(calls) - 1, []
+        assert calls[cert] == n - 1
+
+        def inflated(w, sums):
+            newton, s1, den = steps(w, sums)
+            if len(seen) == cert:
+                newton = newton.copy()
+                newton[3] = 1e-6 * (1.0 + abs(w[3]))
+            seen.append(w.size)
+            return newton, s1, den
+
+        monkeypatch.setattr(rootsolve, "_newton_steps", inflated)
+        rep = critical_points(RootPoly(thm1_roots(n)))
+        assert rep.residuals.max() <= NEWTON_TOL
+        assert rep.iterations >= base.iterations + 2
+        assert seen[cert + 1] == 1 and seen[-1] == n - 1
+        assert np.all(np.abs(rep.roots - base.roots) <= 1e-15 * np.abs(base.roots))
 
     def test_max_iter_three_raises(self):
         with pytest.raises(NoConvergence):
@@ -674,6 +720,14 @@ class TestRealInterlaced:
         lo, hi = interlaced_extremes(x)
         assert lo == pytest.approx(full[0], abs=1e-13)
         assert hi == pytest.approx(full[-1], abs=1e-13)
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: real_interlaced_critical_points([1.0]), DegenerateInput),
+    (lambda: interlaced_extremes([2.0, 2.0, 2.0]), (2.0, 2.0)),
+], ids=["one-root", "extremes-of-one-value"])
+def test_edge_inputs(call, expected):
+    assert_outcome(call, expected)
 
 
 def bisect_gaps(values, counts, gaps):

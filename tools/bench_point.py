@@ -22,7 +22,9 @@ Per workload and metric the point holds every pair, the change/parent ratio
 of each pair, the pairs the change wins, the median and range of each side
 and the parent's interquartile range. One 25 s run swings by up to 30% on a
 2-vCPU host, so read a point's delta from its pairs, not from its medians
-against an older point's. The runs take about fifteen minutes.
+against an older point's. The runs take about fifteen minutes. The last
+line printed is JSON: both sides' non-blank src/ line counts, then per
+workload and metric the parent's median, the change's median and the wins.
 """
 
 from __future__ import annotations
@@ -167,9 +169,10 @@ def main(argv=None) -> int:
             }
     point["tier1"] = tier1()
     args.out.write_text(json.dumps(point, indent=1) + "\n", encoding="utf-8")
-    print(json.dumps({w: {m: [v[m]["parent"]["median"], v[m]["change"]["median"], v[m]["wins"]]
-                          for m in higher}
-                      for w, v in point["workloads"].items()}))
+    print(json.dumps({"src_nonblank_loc": point["src_nonblank_loc"],
+                      **{w: {m: [v[m]["parent"]["median"], v[m]["change"]["median"], v[m]["wins"]]
+                             for m in higher}
+                         for w, v in point["workloads"].items()}}))
     return 0
 
 
