@@ -5,11 +5,12 @@ is no option. The pool thread is created on first use and, like BLAS's own
 threads, belongs to the process. Only ``run_two`` hands it work, splitting
 indices over the two threads: the row blocks and repulsion tiles of a large
 ``rootsolve`` sweep, and through ``map_two`` the experiment runner's trials.
-The pool thread is not reentrant: a nested or concurrent split finds it
-lent and runs on the calling thread. So a trial on the pool thread that
-reaches a row kernel sums its rows itself instead of waiting on its own busy
-pool. numpy's error state is per thread, so the pool thread runs under the
-caller's.
+Each index gets its thread's slot, 0 on the caller and 1 on the pool thread,
+to pick its work arrays. The pool thread is not reentrant: a nested or
+concurrent split finds it lent and runs on the calling thread, in slot 0.
+So a trial on the pool thread that reaches a row kernel sums its rows itself
+instead of waiting on its own busy pool. numpy's error state is per thread,
+so the pool thread runs under the caller's.
 
 While ``run_two`` holds the pool thread it holds numpy's bundled OpenBLAS,
 the only BLAS the lab calls, at one thread, then sets it back: OpenBLAS's
@@ -63,16 +64,17 @@ def _openblas():
 
 
 def run_two(fn, n: int) -> list:
-    """[fn(0), ..., fn(n - 1)] on the two compute threads; raises what a serial loop would raise.
+    """[fn(0, slot), ..., fn(n - 1, slot)] on the two compute threads; raises as a loop would.
 
-    Both threads take the next index from one counter and store each result
-    at its index, so the list does not depend on which thread ran what.
-    Runs serially for fewer than two indices, on one compute thread, or when
-    the pool thread is lent. While both threads run, numpy's OpenBLAS is
-    held at one thread, if it is found. The pool thread runs under the
-    caller's numpy error state. After a raise no thread takes a new index,
-    each finishes the one it holds, and the exception of the lowest failing
-    index is raised. Every lower index was taken before it and has completed.
+    ``slot`` is 0 on the caller and 1 on the pool thread. Both threads take
+    the next index from one counter and store each result at its index, so
+    the list does not depend on which thread ran what. Runs serially, in
+    slot 0, for fewer than two indices, on one compute thread, or when the
+    pool thread is lent. While both threads run, numpy's OpenBLAS is held at
+    one thread, if it is found. The pool thread runs under the caller's
+    numpy error state. After a raise no thread takes a new index, each
+    finishes the one it holds, and the exception of the lowest failing index
+    is raised. Every lower index was taken before it and has completed.
     """
     if _THREADS.count is None:
         try:
@@ -81,14 +83,14 @@ def run_two(fn, n: int) -> list:
             cores = os.cpu_count() or 1
         _THREADS.count = min(2, cores)
     if n < 2 or _THREADS.count < 2 or not _THREADS.lock.acquire(blocking=False):
-        return [fn(i) for i in range(n)]
+        return [fn(i, 0) for i in range(n)]
     results = [None] * n
     failed = {}
     indices = iter(range(n))
     take = threading.Lock()
     stop = threading.Event()
 
-    def work():
+    def work(slot):
         # a pool thread that starts late finds the indices taken: the caller
         # steals them, so a late start costs no more than the serial loop
         while not stop.is_set():
@@ -97,7 +99,7 @@ def run_two(fn, n: int) -> list:
             if i == n:
                 return
             try:
-                results[i] = fn(i)
+                results[i] = fn(i, slot)
             except Exception as exc:  # raised below, lowest index first
                 failed[i] = exc
                 stop.set()
@@ -110,9 +112,9 @@ def run_two(fn, n: int) -> list:
                                                    thread_name_prefix="spectralab-compute")
         if blas is not None:
             blas[1](1)
-        other = _THREADS.executor.submit(np.errstate(**np.geterr())(work))
+        other = _THREADS.executor.submit(np.errstate(**np.geterr())(work), 1)
         try:
-            work()
+            work(0)
         finally:
             stop.set()  # an interrupt on the caller stops the pool thread too
             other.result()
@@ -132,7 +134,7 @@ def map_two(fn, n: int) -> list:
     OpenBLAS held at one thread: unheld, two threads were slower than one.
     """
     if n > 1 and _openblas() is not None:
-        return run_two(fn, n)
+        return run_two(lambda i, _: fn(i), n)
     return [fn(i) for i in range(n)]
 
 

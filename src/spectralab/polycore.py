@@ -166,8 +166,8 @@ def _log_abs_sums(w: WeightedLogDeriv, zs: np.ndarray, guard: float) -> np.ndarr
     """
     d = zs[:, None] - w.root_array()[None, :]
     near = np.min(np.abs(d), axis=1) < guard * exclusion_radius(zs)
-    terms = w.weight_array() / d[~near]
     with np.errstate(divide="ignore", invalid="ignore"):
+        terms = w.weight_array() / d[~near]
         m = np.max(np.abs(terms), axis=1)
         s = np.sum(terms / m[:, None], axis=1)
     out = np.full(zs.size, np.nan)

@@ -126,11 +126,12 @@ def _backward_errors(pvals: np.ndarray, hmag: np.ndarray) -> np.ndarray:
     """Normwise relative backward error |P(z)| / sum|c_k||z|^k of each point.
 
     It is the smallest relative change of the coefficients that makes z an
-    exact root, so it does not depend on where the other points sit.
+    exact root, so it does not depend on where the other points sit. It is 0
+    where P(z) is exactly 0 (so at z = 0 when c_0 = 0) and inf at any other nan.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         res = np.abs(pvals) / hmag
-    return np.where(np.isnan(res), np.inf, res)
+    return np.where(np.isnan(res), np.where(pvals == 0, 0.0, np.inf), res)
 
 
 def companion_roots(coeffs) -> np.ndarray:
@@ -178,27 +179,6 @@ def solve_all(coeffs) -> RootFindReport:
     return RootFindReport(z, res, 1)
 
 
-def _split(fn, n: int, rows: int, ncols: int, *dtypes) -> list:
-    """``run_two`` over fn(i, *bufs), i in [0, n), each running index with its own work arrays.
-
-    The calling thread allocates one array of 2 rows x ncols per dtype, so
-    that no worker thread grows its own heap. Its two halves are the slots of
-    a free list: a running index pops one and appends it back when done (both
-    atomic under the GIL), and ``run_two`` runs at most two indices at once.
-    """
-    bufs = [np.empty((2 * rows, ncols), dt) for dt in dtypes]
-    free = [[buf[:rows] for buf in bufs], [buf[rows:] for buf in bufs]]
-
-    def run(i):
-        slot = free.pop()
-        try:
-            return fn(i, *slot)
-        finally:
-            free.append(slot)
-
-    return run_two(run, n)
-
-
 def _differences(out: np.ndarray, at: np.ndarray, poles: np.ndarray) -> np.ndarray:
     """out = at[:, None] - poles by fill, then subtract: the broadcast's bits, but faster."""
     out[:] = at[:, None]
@@ -212,22 +192,23 @@ def _over_rows(block, at: np.ndarray, poles: np.ndarray, *dtypes) -> None:
     block reduces in place; ``bufs`` are work arrays of its shape, one per
     dtype. A grid of at.size x poles.size below _THREAD_GRID is one block. A
     larger one is cut into blocks of _BLOCK_ROWS rows, each a
-    ``compute.run_two`` index through ``_split``, so both threads take the
-    next block until none is left.
+    ``compute.run_two`` index, so both threads take the next block until none
+    is left, each block in its thread's slot of the work arrays.
     """
     nrows, ncols = at.size, poles.size
     if nrows * ncols < _THREAD_GRID:
         diff = _differences(np.empty((nrows, ncols), at.dtype), at, poles)
         block(0, nrows, diff, *(np.empty(diff.shape, dt) for dt in dtypes))
         return
+    slots = [np.empty((2, _BLOCK_ROWS, ncols), dt) for dt in (at.dtype, *dtypes)]
 
-    def run(i, diff, *bufs):
+    def run(i, slot):
         lo = i * _BLOCK_ROWS
         hi = min(lo + _BLOCK_ROWS, nrows)
-        block(lo, hi, _differences(diff[:hi - lo], at[lo:hi], poles),
-              *(buf[:hi - lo] for buf in bufs))
+        diff, *bufs = (buf[slot, :hi - lo] for buf in slots)
+        block(lo, hi, _differences(diff, at[lo:hi], poles), *bufs)
 
-    _split(run, -(-nrows // _BLOCK_ROWS), _BLOCK_ROWS, ncols, at.dtype, *dtypes)
+    run_two(run, -(-nrows // _BLOCK_ROWS))
 
 
 def _log_deriv_sums(w: np.ndarray, poles: np.ndarray, weights: np.ndarray | None = None):
@@ -297,9 +278,9 @@ def _row_repulsion(w: np.ndarray, frozen: np.ndarray) -> np.ndarray:
     square tiles (a, b), a <= b, of _TILE points a side, and each tile forms
     its reciprocals once: its row sums go to the rows of tile a and its
     negated column sums, the same terms to the bit, to the rows of tile b.
-    The tiles are ``compute.run_two`` indices; their sums are stored by tile
-    and added in tile order, so the result depends on _TILE but not on the
-    thread count. The frozen columns stay a row kernel.
+    The tiles are ``compute.run_two`` indices formed in their thread's slot,
+    their sums stored by tile and added in tile order, so the result depends
+    on _TILE but not on the thread count. The frozen columns stay a row kernel.
     """
     m = w.size
     if m * (m + frozen.size) < _THREAD_GRID:
@@ -308,12 +289,12 @@ def _row_repulsion(w: np.ndarray, frozen: np.ndarray) -> np.ndarray:
     pairs = [(a, b) for a in range(nt) for b in range(a, nt)]
     # parts[a, b]: the sums over the points of tile b for the rows of tile a
     parts = np.zeros((nt, nt, _TILE), complex)
+    slots = np.empty((2, _TILE * _TILE), complex)
 
-    def tile(k, buf):
+    def tile(k, slot):
         a, b = pairs[k]
         wa, wb = w[a * _TILE:(a + 1) * _TILE], w[b * _TILE:(b + 1) * _TILE]
-        inv = _differences(buf.reshape(-1)[:wa.size * wb.size].reshape(wa.size, wb.size),
-                           wa, wb)
+        inv = _differences(slots[slot, :wa.size * wb.size].reshape(wa.size, wb.size), wa, wb)
         if a == b:
             np.fill_diagonal(inv, np.inf)
         np.reciprocal(inv, out=inv)
@@ -322,7 +303,8 @@ def _row_repulsion(w: np.ndarray, frozen: np.ndarray) -> np.ndarray:
             np.add.reduce(inv, axis=0, out=parts[b, a, :wb.size])
             np.negative(parts[b, a, :wb.size], out=parts[b, a, :wb.size])
 
-    _split(tile, len(pairs), _TILE, _TILE, complex)
+    run_two(tile, len(pairs))
+    del slots  # freed before the sums below allocate: kept, it cost 1 MB of peak RSS
     out = np.add.reduce(parts, axis=1).reshape(-1)[:m]
     if frozen.size:
         out += _row_inverse_sums(w, frozen, own=False)

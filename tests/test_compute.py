@@ -62,31 +62,31 @@ def csv_bytes(tmp_path, sub):
     return (tmp_path / sub / "trials.csv").read_bytes()
 
 
-def thread_ident(i):
-    return threading.get_ident()
+def thread_slot(i, slot):
+    return threading.get_ident(), slot
 
 
 def pool_names(n):
     """The thread names of a run_two split whose indices wait for each other."""
     meet = threading.Barrier(n, timeout=30)
 
-    def name(i):
+    def name(i, slot):
         meet.wait()
         return threading.current_thread().name
 
     return compute.run_two(name, n)
 
 
-class TestBorrow:
-    def test_nested_and_concurrent_borrows_run_on_their_caller(self, two_threads):
+class TestLentPoolThread:
+    def test_nested_and_concurrent_splits_run_on_their_caller(self, two_threads):
         # while a split holds the pool thread, a split nested in it and one
-        # from another thread find the pool thread lent
+        # from another thread find the pool thread lent and run in slot 0
         seen = []
 
         def split_here():
-            seen.append((threading.get_ident(), compute.run_two(thread_ident, 3)))
+            seen.append((threading.get_ident(), compute.run_two(thread_slot, 3)))
 
-        def outer(i):
+        def outer(i, slot):
             if i == 0:
                 split_here()
                 other = threading.Thread(target=split_here)
@@ -97,14 +97,14 @@ class TestBorrow:
 
         assert compute.run_two(outer, 2) == [0, 1]
         assert len(seen) == 2
-        assert all(ran == [caller] * 3 for caller, ran in seen)
+        assert all(ran == [(caller, 0)] * 3 for caller, ran in seen)
         pool = compute._THREADS.executor
         assert any(name.startswith("spectralab-compute") for name in pool_names(2))
         assert compute._THREADS.executor is pool
 
     def test_one_compute_thread_lends_nothing(self, monkeypatch):
         monkeypatch.setattr(compute._THREADS, "count", 1)
-        assert compute.run_two(thread_ident, 5) == [threading.get_ident()] * 5
+        assert compute.run_two(thread_slot, 5) == [(threading.get_ident(), 0)] * 5
 
     def test_splits_without_the_library(self, two_threads, monkeypatch):
         # only map_two needs the hold; a row-kernel split runs unheld
@@ -113,7 +113,7 @@ class TestBorrow:
 
     def test_threaded_trial_reaching_the_row_kernels_finishes(self, tmp_path):
         # both trial threads reach critical_points at degree 1600, whose row
-        # kernels would wait on the busy pool thread if a nested borrow got it
+        # kernels would wait on the busy pool thread if a nested split got it
         script = textwrap.dedent(f"""
             import dataclasses
             from pathlib import Path

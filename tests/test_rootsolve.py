@@ -64,6 +64,17 @@ class TestSolveAll:
         c = np.asarray(coeffs, dtype=complex)
         np.testing.assert_array_equal(companion_roots(c), [-c[0] / c[1]])
 
+    @pytest.mark.parametrize("coeffs, roots", [
+        ([0, 1, 1], [0, -1]), ([0, 0, 1], [0, 0]),
+        ([0, -2, 0, 1], [0, -math.sqrt(2), math.sqrt(2)]), ([0, 0, 0, 2], [0, 0, 0])])
+    def test_exact_zero_roots(self, coeffs, roots):
+        # at z = 0 both |P(z)| and sum|c_k||z|^k are 0: an exact root, residual 0
+        rep = solve_all(coeffs)
+        assert_multiset_close(rep.roots, roots, 1e-15)
+        assert np.all(rep.residuals[rep.roots == 0] == 0)
+        assert np.count_nonzero(rep.roots == 0) == roots.count(0)
+        assert rep.residuals.max() <= TOL_ROOT
+
     @pytest.mark.parametrize("coeffs", [[np.nan, 1.0], [1.0, np.nan, 1.0],
                                         [1.0, 2.0, np.inf], [-np.inf, 1.0]])
     @pytest.mark.parametrize("solve", [solve_all, companion_roots])
@@ -493,25 +504,36 @@ class TestRepulsion:
         assert np.all(np.abs(got[1] - exact) <= bound)
 
     def test_split_slots_are_not_shared_under_fast_switching(self, monkeypatch):
-        # each running index owns one of the two buffer slots: it writes its
-        # index into the slot and finds it there after a run of bytecodes
-        # during which the other thread may run
+        # the tiles and row blocks index their work arrays by run_two's slot:
+        # each running index writes its index into its slot and finds it there
+        # after a run of bytecodes during which the other thread may run. The
+        # pool thread runs in slot 1; a split nested in an index finds the
+        # pool thread lent and runs serially, in slot 0 of its own caller.
         monkeypatch.setattr(compute._THREADS, "count", 2)
+        bufs = np.empty((2, 4, 64))
 
-        def fill(i, buf):
-            buf[:] = i
+        def nested(j, slot):
+            return threading.current_thread().name, slot
+
+        def fill(i, slot):
+            bufs[slot] = i
             for _ in range(50):
                 pass
-            return bool((buf == i).all()), threading.current_thread().name
+            inner = compute.run_two(nested, 2) if i % 100 == 0 else []
+            name = threading.current_thread().name
+            return bool((bufs[slot] == i).all()), name, slot, inner
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = rootsolve._split(fill, 2000, 4, 64, float)
+            got = compute.run_two(fill, 2000)
         finally:
             sys.setswitchinterval(interval)
-        assert all(ok for ok, _ in got)
-        assert any(name.startswith("spectralab-compute") for _, name in got)
+        assert all(ok for ok, _, _, _ in got)
+        assert all(slot == int(name.startswith("spectralab-compute"))
+                   for _, name, slot, _ in got)
+        assert {slot for _, _, slot, _ in got} == {0, 1}
+        assert all(inner == [(name, 0)] * 2 for _, name, _, inner in got[::100])
 
     @pytest.mark.parametrize("m, f", [(59, 0), (40, 19), (79, 0), (300, 100)])
     def test_row_kernel_below_the_tile_threshold(self, m, f):
@@ -545,9 +567,9 @@ class TestRowThreads:
         names = set()
 
         def recorded(fn, n):
-            def named(i):
+            def named(i, slot):
                 names.add(threading.current_thread().name)
-                return fn(i)
+                return fn(i, slot)
             return compute.run_two(named, n)
 
         monkeypatch.setattr(rootsolve, "run_two", recorded)

@@ -11,20 +11,27 @@ each of the seeds 401, 402 and 403 and each workload of BENCHMARK.json, it
 runs ``labbench/run.py --workload W --seed S --seconds 25 --trace 0`` in the
 parent's tree and in this one, one right after the other, the parent first
 at 401 and 403 and the change first at 402, and reads the end-to-end
-metrics from each run's last stdout line. Each workload's result file under
-labbench/out/ gives the non-blank line count of src/, the failed requests and
-the trials.csv digest of the first request of each kind (experiment and
-parameters). Then tier-1 runs once on this checkout: its pass and fail
-counts and total wall are parsed from pytest's summary line, and each
-acceptance criterion's result and wall from its 'criterion NN' line.
+metrics from each run's last stdout line. After these plain runs each
+workload runs once more per side with ``--seed 401 --seconds 10 --trace 1``,
+the parent first on every other workload, and every per-layer ``*.calls``
+and ``*.self_s`` metric of the two runs is kept as a pair with its
+change/parent ratio. ``ginibre-mix``'s trials run on two threads while the
+tracer keeps one span stack per process, so its self times are flagged as
+unreliable. Each workload's plain result file under labbench/out/ gives the
+non-blank line count of src/, the failed requests and the trials.csv digest
+of the first request of each kind (experiment and parameters). Then tier-1
+runs once on this checkout: its pass and fail counts and total wall are
+parsed from pytest's summary line, and each acceptance criterion's result
+and wall from its 'criterion NN' line.
 
 Per workload and metric the point holds every pair, the change/parent ratio
 of each pair, the pairs the change wins, the median and range of each side
 and the parent's interquartile range. One 25 s run swings by up to 30% on a
 2-vCPU host, so read a point's delta from its pairs, not from its medians
-against an older point's. The runs take about fifteen minutes. The last
-line printed is JSON: both sides' non-blank src/ line counts, then per
-workload and metric the parent's median, the change's median and the wins.
+against an older point's. The plain runs take about fifteen minutes; the
+point records the wall of each phase. The last line printed is JSON: both
+sides' non-blank src/ line counts, each phase's wall, then per workload and
+metric the parent's median, the change's median and the wins.
 """
 
 from __future__ import annotations
@@ -39,11 +46,16 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (401, 402, 403)
 SECONDS = 25
+TRACE_SEED, TRACE_SECONDS = 401, 10
+# workloads whose trials run on two threads: the tracer keeps one span stack
+# per process, so their self times mix both threads' spans
+TWO_THREAD_TRIALS = ("ginibre-mix",)
 CRITERION = re.compile(r"^criterion (\d\d) \[(.+)\] (PASS|FAIL) \(([\d.]+) s\)$", re.M)
 
 
@@ -61,10 +73,11 @@ def unpack_parent(into: Path) -> str:
     return sha
 
 
-def run_once(tree: Path, workload: str, seed: int) -> dict:
-    """The end-to-end metric values of one run of one workload in ``tree``."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float = SECONDS,
+             trace: int = 0) -> dict:
+    """The metric values of one run of one workload in ``tree``, per layer if ``trace``."""
     proc = subprocess.run([sys.executable, "labbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
+                           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
                           cwd=tree, capture_output=True, text=True, check=True)
     metrics = json.loads(proc.stdout.splitlines()[-1])["metrics"]
     return {name: m["value"] for name, m in metrics.items()}
@@ -122,6 +135,13 @@ def paired(parent: list, change: list, higher_is_better: bool) -> dict:
             "change": spread(change)}
 
 
+def layer_pairs(parent: dict, change: dict) -> dict:
+    """Each per-layer calls and self_s metric of two traced runs, with its change/parent ratio."""
+    return {m: {"parent": parent[m], "change": change[m],
+                "ratio": change[m] / parent[m] if parent[m] else None}
+            for m in parent if m.endswith((".calls", ".self_s"))}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="the JSON file to write")
@@ -140,11 +160,24 @@ def main(argv=None) -> int:
         trees = {"parent": Path(tmp), "change": ROOT}
         point["parent_sha"] = unpack_parent(trees["parent"])
         runs = {side: {} for side in trees}
+        start = time.perf_counter()
         for i, seed in enumerate(SEEDS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for workload in workloads:
                 for side in order:
                     runs[side][workload, seed] = run_once(trees[side], workload, seed)
+        plain_s = time.perf_counter() - start
+        traced = {side: {} for side in trees}
+        for i, workload in enumerate(workloads):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                traced[side][workload] = run_once(trees[side], workload, TRACE_SEED,
+                                                  TRACE_SECONDS, trace=1)
+        point["wall_s"] = {"plain": plain_s, "traced": time.perf_counter() - start - plain_s}
+        point["per_layer"] = {
+            "seed": TRACE_SEED, "seconds": TRACE_SECONDS,
+            "workloads": {w: {"self_s_reliable": w not in TWO_THREAD_TRIALS,
+                              "pairs": layer_pairs(traced["parent"][w], traced["change"][w])}
+                          for w in workloads}}
         for workload in workloads:
             files = {side: {seed: result_file(tree, workload, seed) for seed in SEEDS}
                      for side, tree in trees.items()}
@@ -167,9 +200,12 @@ def main(argv=None) -> int:
                 "first_digests": digests["change"],
                 "digests_equal_parent": digests["change"] == digests["parent"],
             }
+    start = time.perf_counter()
     point["tier1"] = tier1()
+    point["wall_s"]["tier1"] = time.perf_counter() - start
     args.out.write_text(json.dumps(point, indent=1) + "\n", encoding="utf-8")
     print(json.dumps({"src_nonblank_loc": point["src_nonblank_loc"],
+                      "wall_s": point["wall_s"],
                       **{w: {m: [v[m]["parent"]["median"], v[m]["change"]["median"], v[m]["wins"]]
                              for m in higher}
                          for w, v in point["workloads"].items()}}))
