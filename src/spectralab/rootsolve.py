@@ -239,19 +239,6 @@ def _log_deriv_sums(w: np.ndarray, poles: np.ndarray, weights: np.ndarray | None
     return s1, s2
 
 
-def _row_abs_sums(w: np.ndarray, poles: np.ndarray) -> np.ndarray:
-    """sum 1/|w - p| over ``poles`` at each w, by row reductions."""
-    out = np.empty(w.size)
-
-    def block(lo, hi, diff, inv):
-        np.abs(diff, out=inv)
-        np.reciprocal(inv, out=inv)
-        np.add.reduce(inv, axis=1, out=out[lo:hi])
-
-    _over_rows(block, w, poles, float)
-    return out
-
-
 def _row_inverse_sums(w: np.ndarray, poles: np.ndarray, own: bool) -> np.ndarray:
     """sum 1/(w_i - p) over ``poles`` at each w_i, by row reductions.
 
@@ -324,19 +311,6 @@ def _newton_steps(w: np.ndarray, sums):
     return np.where(np.isfinite(newton), newton, 1e-3 * (1.0 + np.abs(w))), s1, den
 
 
-def _row_nearest(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """min |w[r] - w[j]| over j != r, for each r in ``rows``."""
-    out = np.empty(rows.size)
-
-    def block(lo, hi, diff, dist):
-        np.abs(diff, out=dist)
-        dist[np.arange(hi - lo), rows[lo:hi]] = np.inf
-        np.minimum.reduce(dist, axis=1, out=out[lo:hi])
-
-    _over_rows(block, w[rows], w, float)
-    return out
-
-
 def _isolated(w: np.ndarray, cand: np.ndarray, s1: np.ndarray, den: np.ndarray,
               roots: np.ndarray) -> np.ndarray:
     """Whether the inclusion disk of each candidate w[cand] is clear of its neighbours.
@@ -347,12 +321,22 @@ def _isolated(w: np.ndarray, cand: np.ndarray, s1: np.ndarray, den: np.ndarray,
     P''/P. The disk is clear when its radius is below half the distance from
     w to the nearest other point of ``w``, frozen or not. At a multiple
     critical point s1 rounds to 0, and the rounding bound keeps the disk
-    wide. The bound and the distances are row kernels, each row reduced on
-    its own, so a large pass runs on two threads with unchanged bits.
+    wide. One row kernel over w[cand] - [roots | w] gives both, each row
+    reduced on its own, so a large pass runs on two threads with unchanged bits.
     """
-    eps = np.finfo(float).eps
-    radius = w.size * (np.abs(s1) + 4.0 * eps * _row_abs_sums(w[cand], roots)) / np.abs(den)
-    return radius < 0.5 * _row_nearest(w, cand)
+    k = roots.size
+    bound, nearest = np.empty(cand.size), np.empty(cand.size)
+
+    def block(lo, hi, diff):
+        dist = np.abs(diff, out=diff).real  # in place: a float work array costs peak RSS
+        np.reciprocal(dist[:, :k], out=dist[:, :k])
+        np.add.reduce(dist[:, :k], axis=1, out=bound[lo:hi])
+        dist[np.arange(hi - lo), k + cand[lo:hi]] = np.inf
+        np.minimum.reduce(dist[:, k:], axis=1, out=nearest[lo:hi])
+
+    _over_rows(block, w[cand], np.concatenate([roots, w]))
+    radius = w.size * (np.abs(s1) + 4.0 * np.finfo(float).eps * bound) / np.abs(den)
+    return radius < 0.5 * nearest
 
 
 def critical_points(p: RootPoly, *, max_iter: int = MAX_ITER) -> RootFindReport:

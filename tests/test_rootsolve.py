@@ -204,7 +204,7 @@ class TestDeflation:
 
     def test_isolation_pass_skips_sweeps_with_nothing_converged(self, monkeypatch):
         # the first sweeps of a solve have no converged active point, and
-        # _isolated must not run its two row kernels on zero rows
+        # _isolated must not run its row kernel on zero rows
         sizes = []
         isolated = rootsolve._isolated
 
