@@ -331,6 +331,25 @@ def test_start_point_on_a_pole_certifies(roots):
         assert abs(w - z) <= 1e-15 * abs(z)
 
 
+@pytest.mark.xfail(strict=True, raises=(NoConvergence, RuntimeWarning),
+                   reason="ROADMAP item 3: one global power-of-two scale cannot serve "
+                          "roots whose gaps differ by 1e160 or more")
+@pytest.mark.parametrize("roots", [[0, 1e-160, 1], [1e-300, 1e300, 2e300]],
+                         ids=["0-1e-160-1", "1e-300-1e300-2e300"])
+def test_mixed_scale_roots_certify(roots):
+    # the first overflows in the s2 sums, the second stalls at step 1e-3
+    rep = critical_points(RootPoly(np.array(roots, dtype=complex)))
+    assert rep.residuals.max() <= NEWTON_TOL
+    # P' = 3z^2 - 2 e1 z + e2 for the elementary symmetric sums e1, e2
+    with mpmath.workdps(60):
+        a, b, c = map(mpmath.mpf, roots)
+        e1, e2 = a + b + c, a * b + a * c + b * c
+        big = (e1 + mpmath.sqrt(e1 * e1 - 3 * e2)) / 3
+        ref = [e2 / (3 * big), big]
+    for w, z in zip(sorted(rep.roots.tolist(), key=abs), ref):
+        assert abs(w - z) <= 1e-15 * abs(z)
+
+
 SCALE_PROBE = np.array([1, 2, 3, 1j, 2 + 1j, -1.5 + 0.5j])
 
 
@@ -645,6 +664,39 @@ class TestRowThreads:
             assert [(lo, hi) for lo, hi, *_ in got] == list(zip(bounds, bounds[1:]))
         for lo, hi, kind, bits in got:
             assert kind == dtype and bits == (at[lo:hi, None] - poles).tobytes()
+
+    @pytest.mark.parametrize("m, count", [(60, 20), (1000, 100)], ids=["one-block", "split"])
+    def test_isolated_matches_two_passes(self, threads, monkeypatch, m, count):
+        # m points, the first count of them candidates, and m + 1 roots;
+        # candidate 0 sits at 0 and the last point on the edge of its disk,
+        # where candidate 0 is not isolated
+        rng = np.random.default_rng(m)
+        roots, w, den = ([1, 1j] @ rng.normal(size=(2, n)) for n in (m + 1, m, count))
+        cand = np.arange(count)
+        s1 = 10.0 ** rng.uniform(-14, -2, count) * np.exp(2j * np.pi * rng.random(count))
+        s1[0], den[0], w[0] = 0, 1, 0
+        eps = np.finfo(float).eps
+        radius = m * (np.abs(s1) + 4 * eps * np.add.reduce(1 / np.abs(w[cand, None] - roots), axis=1))
+        radius /= np.abs(den)
+
+        def two_passes(w):
+            # the rounding bound and the nearest distances in passes of their own
+            dist = np.abs(w[cand, None] - w)
+            dist[cand, cand] = np.inf
+            return radius < 0.5 * dist.min(axis=1)
+
+        passes = []
+        over_rows = rootsolve._over_rows
+        monkeypatch.setattr(rootsolve, "_over_rows", lambda *a: passes.append(over_rows(*a)))
+        assert (count * (2 * m + 1) >= rootsolve._THREAD_GRID) == (m == 1000)
+        for threads_used in (1, 2):
+            threads(threads_used)
+            for edge in (2 * radius[0], np.nextafter(2 * radius[0], 1)):
+                w[-1] = edge
+                want = two_passes(w)
+                np.testing.assert_array_equal(rootsolve._isolated(w, cand, s1, den, roots), want)
+                assert want[0] == (edge != 2 * radius[0]) and not want.all() and want.any()
+        assert len(passes) == 4
 
     def test_small_degrees_start_no_pool(self, threads, monkeypatch):
         threads(2)
