@@ -345,7 +345,8 @@ def critical_points(p: RootPoly, *, max_iter: int = MAX_ITER) -> RootFindReport:
     Aberth iteration on P'/P, using only the roots of P: no coefficients are
     formed, so the accuracy does not depend on their size. A root of
     multiplicity m contributes m-1 critical points at itself: copies of it
-    that are frozen from the start.
+    that are frozen from the start. The others start at v + (c - v) t / 2n
+    (c the centroid), turned by t = e^(0.3i sign Im(v - c)) against mirror traps.
 
     The iteration is deflated, as in MPSolve (Bini & Robol, JCAM 2014): each
     sweep evaluates P'/P and the repulsion sum only at the active points. A
@@ -387,7 +388,8 @@ def critical_points(p: RootPoly, *, max_iter: int = MAX_ITER) -> RootFindReport:
     w = np.delete(values, drop)
     m = w.size
     # the m approximations, then the copies of the multiple roots, frozen throughout
-    w = np.concatenate([w + (centroid - w) * (0.5 / n), np.repeat(values, counts - 1)])
+    turn = np.exp(0.3j * np.sign((w - centroid).imag))
+    w = np.concatenate([w + (centroid - w) * (0.5 / n) * turn, np.repeat(values, counts - 1)])
 
     poles = np.repeat(values, counts)
     if n >= _ROW_KERNEL_DEGREE:

@@ -71,9 +71,13 @@ SMALL_PARAMS = {
 # most 4e-14 relative, towards the value at longdouble-refined points) and
 # again when the repulsion sum below degree 80 became a row reduction
 # (trial 0's w1_large moved by 1 ulp, onto its value at critical points
-# polished to 50 digits). exp-spacing's trials.csv and both matching-lln
-# files were re-pinned when the real gap solver took the fixed-weight
-# rational step: one critical point moved by 1 ulp in exp-spacing trial 2
+# polished to 50 digits), and again when critical_points turned its start
+# points (w1_large moved by 2.1e-16 relative, boundary_identity_residual from
+# 8.9e-16 to 1.3e-15, 1.1e-15 at 40-digit critical points;
+# test_pinned_thm1_points_match_extended_newton checks the points).
+# exp-spacing's trials.csv and both matching-lln files were re-pinned when
+# the real gap solver took the fixed-weight rational step: one critical
+# point moved by 1 ulp in exp-spacing trial 2
 # and in matching-lln trial 2, so left_stat moved by at most 2.3e-16
 # relative and d1 by 3.2e-16; no other column moved. Against d1 and
 # left_stat at 40-digit critical points (mpmath 1.3.0), 7 of the 9 pinned
@@ -138,8 +142,8 @@ PINNED_DIGESTS = {
         "trials.csv": "a5df8cbac6b92e725d63d85b8180bbe36005deaba294735e3c64dd20b9860a17",
     },
     "thm1-convergence": {
-        "summary.json": "fb0a1c5353f6303380b6bed8c3b209e5202547983a138c41be6401eb6286fbd0",
-        "trials.csv": "f0f94f24bd5c4b7533166c2b8a615358a02562810c46e192b054ad3c2e74bf71",
+        "summary.json": "ede36101493125fe41faed0dbb7a14dbb8b6bdc7258bc970a461acc1999c02ff",
+        "trials.csv": "8c11616b567631cb48970bd70d85f34d0b095e8c9adf77bee36487075e00b9c7",
     },
     "walsh-clusters": {
         "summary.json": "55b8af6b1d2f85f9555d775a38332e623b59617c0ac8a09c3a1dc589d2066219",
@@ -183,13 +187,18 @@ class TestPinnedOutputs:
         # 1.9e-16 relative and w1_small and improved not at all. Against a
         # 40-digit Newton polish the moved points' rms relative error went
         # from 3.2e-16 to 5.6e-16 here, and from 4.9e-16 to 4.0e-16 over the
-        # 1006 points that moved in 96 such draws (CHANGES.md).
+        # 1006 points that moved in 96 such draws (CHANGES.md). Re-pinned when
+        # critical_points turned its start points: w1_small moved by at most
+        # 1.6e-16 relative, w1_large by 1.8e-16, and boundary_identity_residual
+        # from 6.2e-15 to 7.5e-15 (7.5e-15 to 8.4e-15 at 40-digit critical
+        # points, by their order); test_pinned_thm1_points_match_extended_newton
+        # checks the points.
         params = {"n_small": 100, "n_large": 400, "n_proj": 64, "ref_points": 2048,
                   "diagnostics": 1, "grid_size": 96}
         run_experiment(ExperimentConfig("thm1-convergence", 7, 3, params, tmp_path))
         assert _output_digests(tmp_path) == {
-            "summary.json": "e9fa7e2ea9ad2f46d35a7f00d15c80eafd3eb811d827f245de030c92aabc5372",
-            "trials.csv": "0f4b7590b385cca27e9229b777e58bbca703c01bcf00bde0bf0b402f6a5e8850",
+            "summary.json": "73f64e27a5b3aa87493a710da1bd848d65d0078811ea0903c3cb3f27654a9c1e",
+            "trials.csv": "2c8f9e3bb20c7e2912ab4398958ffe99ce18f7148c868a6d126a45156d293fd7",
         }
 
 

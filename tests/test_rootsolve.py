@@ -402,23 +402,15 @@ def tight_pairs():
                   "imag-pairs": [0, d, 1j, 1j + d],
                   "three-pairs": [0, d, 1, 1 + d, 2, 2 + d]}
         for name, roots in shapes.items():
-            marks = ()
-            if name == "imag-pairs" and k == 9:
-                # the two start points beside the pair at 0 mirror each other
-                # about Re z = 5e-10 and orbit the critical point near i, while
-                # the one near 0.5i is never claimed: still unconverged after
-                # 1000 sweeps, where d = 1e-8 and 1e-10 certify in 55 and 58
-                marks = pytest.mark.xfail(strict=True, raises=NoConvergence,
-                                          reason="start-point symmetry trap at "
-                                                 "{0, 1e-9, i, i + 1e-9}")
-            yield pytest.param(np.array(roots, dtype=complex), marks=marks,
-                               id=f"{name}-1e-{k:02d}")
+            yield pytest.param(np.array(roots, dtype=complex), id=f"{name}-1e-{k:02d}")
 
 
 @pytest.mark.parametrize("roots", tight_pairs())
 def test_tight_root_pair_certifies(roots):
     # the repulsion pushes the two start points beside a tight pair apart by
-    # about x3 a sweep, a growing move, before they converge: up to 67 sweeps
+    # about x3 a sweep, a growing move, before they converge: up to 67 sweeps.
+    # Unturned, the start points beside the pair at 0 of imag-pairs-1e-09
+    # mirrored each other about Re z = 5e-10 and never converged.
     rep = critical_points(RootPoly(roots))
     assert rep.residuals.max() <= NEWTON_TOL
     ref = [newton_polish_mp(w, roots) for w in rep.roots.tolist()]
@@ -469,20 +461,37 @@ def small_degree_inputs():
         yield rng.normal(size=d) + 1j * rng.normal(size=d)
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
-                    reason="needs an extended-precision long double")
+def extended_newton_distance(roots):
+    """max |w - z| / (1 + |z|) over the critical points w of the roots, where z
+    is two Newton steps on P'/P'' in clongdouble from w."""
+    w = critical_points(RootPoly(roots)).roots
+    z, r = w.astype(np.clongdouble), roots.astype(np.clongdouble)
+    for _ in range(2):
+        inv = 1.0 / (z[:, None] - r[None, :])
+        s1, s2 = inv.sum(axis=1), (inv * inv).sum(axis=1)
+        z = z - s1 / (s1 * s1 - s2)
+    return float(np.max(np.abs(w - z) / (1.0 + np.abs(z))))
+
+
+needs_long_double = pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                                       reason="needs an extended-precision long double")
+
+
+@needs_long_double
 def test_small_degree_points_match_extended_newton():
-    # two Newton steps on P'/P'' in clongdouble from each returned point;
     # measured worst 6.8e-16, at a thm1 point of modulus 0.19
+    assert max(map(extended_newton_distance, small_degree_inputs())) <= 1e-15
+
+
+@needs_long_double
+def test_pinned_thm1_points_match_extended_newton():
+    # the solves behind the two pinned thm1 runs (tests/test_labcli.py): seed
+    # 7, trials 0-2, each draw cut to n_small and n_large of each pin; measured
+    # worst 6.6e-16, and 9.7e-16 before the start-point turn
     worst = 0.0
-    for roots in small_degree_inputs():
-        w = critical_points(RootPoly(roots)).roots
-        z, r = w.astype(np.clongdouble), roots.astype(np.clongdouble)
-        for _ in range(2):
-            inv = 1.0 / (z[:, None] - r[None, :])
-            s1, s2 = inv.sum(axis=1), (inv * inv).sum(axis=1)
-            z = z - s1 / (s1 * s1 - s2)
-        worst = max(worst, float(np.max(np.abs(w - z) / (1.0 + np.abs(z)))))
+    for t in range(3):
+        xi = _thm1_roots(RngStream(7, stream_id_for("thm1-convergence", t)), 400)
+        worst = max(worst, *(extended_newton_distance(xi[:n]) for n in (12, 40, 100, 400)))
     assert worst <= 1e-15
 
 
