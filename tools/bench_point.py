@@ -31,7 +31,8 @@ and the parent's interquartile range. One 25 s run swings by up to 30% on a
 against an older point's. The plain runs take about fifteen minutes; the
 point records the wall of each phase. The last line printed is JSON: both
 sides' non-blank src/ line counts, each phase's wall, then per workload and
-metric the parent's median, the change's median and the wins.
+metric the change/parent ratio of each pair and the wins; the file keeps the
+rest.
 """
 
 from __future__ import annotations
@@ -206,7 +207,8 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(point, indent=1) + "\n", encoding="utf-8")
     print(json.dumps({"src_nonblank_loc": point["src_nonblank_loc"],
                       "wall_s": point["wall_s"],
-                      **{w: {m: [v[m]["parent"]["median"], v[m]["change"]["median"], v[m]["wins"]]
+                      **{w: {m: {"ratios": [round(r, 3) for r in v[m]["ratios"]],
+                                 "wins": v[m]["wins"]}
                              for m in higher}
                          for w, v in point["workloads"].items()}}))
     return 0
