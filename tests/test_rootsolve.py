@@ -684,9 +684,8 @@ class TestRowThreads:
         cand = np.arange(count)
         s1 = 10.0 ** rng.uniform(-14, -2, count) * np.exp(2j * np.pi * rng.random(count))
         s1[0], den[0], w[0] = 0, 1, 0
-        eps = np.finfo(float).eps
-        radius = m * (np.abs(s1) + 4 * eps * np.add.reduce(1 / np.abs(w[cand, None] - roots), axis=1))
-        radius /= np.abs(den)
+        bound = np.add.reduce(1 / np.abs(w[cand, None] - roots), axis=1)
+        radius = m * (np.abs(s1) + 4 * np.finfo(float).eps * bound) / np.abs(den)
 
         def two_passes(w):
             # the rounding bound and the nearest distances in passes of their own
