@@ -15,11 +15,13 @@ computation goes through them.
 The sweeps' sums are row kernels over one driver, ``_over_rows``: it forms
 each block of differences w - p, and the kernel reduces it. Each point's row
 of terms is reduced by ``np.add.reduce``, BLAS-free. The repulsion sum, the
-rounding bound of the inclusion test and the real gap solver use them at
-every size, and the sums of P'/P and P''/P from degree _ROW_KERNEL_DEGREE
-on. Below that degree those are BLAS matrix-vector products over the
-distinct roots: row reductions of them stall at a double critical point,
-where the simple-root certificate P'/P'' shrinks only linearly.
+inclusion test's exact pass and the real gap solver use them at every size,
+and the sums of P'/P and P''/P from degree _ROW_KERNEL_DEGREE on. Below that
+degree those are BLAS matrix-vector products over the distinct roots: row
+reductions of them stall at a double critical point, where the simple-root
+certificate P'/P'' shrinks only linearly. Where the exact pass would be split
+over threads, a proof from sorted real and imaginary parts clears most
+candidates first, and only the rest take that pass.
 
 A sweep is Jacobi-style, every point's sums depending only on the previous
 iterate, which is the independence MPSolve's parallel sweeps use (Bini &
@@ -317,26 +319,56 @@ def _isolated(w: np.ndarray, cand: np.ndarray, s1: np.ndarray, den: np.ndarray,
 
     A disk of radius m |P'/P''| about w holds a root of P', m = deg P'. Here
     |P'/P| = |s1| is raised by its rounding bound 4 eps sum 1/|w - r| over
-    ``roots``, the roots of P repeated by multiplicity, and den = s1^2 - s2 =
-    P''/P. The disk is clear when its radius is below half the distance from
-    w to the nearest other point of ``w``, frozen or not. At a multiple
+    ``roots``, the k roots of P repeated by multiplicity, and den = s1^2 - s2
+    = P''/P. The disk is clear when its radius is below half the distance
+    from w to the nearest other point of ``w``, frozen or not. At a multiple
     critical point s1 rounds to 0, and the rounding bound keeps the disk
-    wide. One row kernel over w[cand] - [roots | w] gives both, each row
-    reduced on its own, so a large pass runs on two threads with unchanged bits.
+    wide. The exact pass, which alone defines the decision, is one row kernel
+    over w[cand] - [roots | w], each row reduced on its own, so a large pass
+    runs on two threads with unchanged bits.
+
+    A grid that large first takes a proof step, O((k + m) log(k + m)): d, the
+    larger of the distances from w to the nearest root in real part and in
+    imaginary part (``searchsorted`` on sorted parts), is at most every
+    |w - r|, so rho = 4 m (|s1| + 4 eps k/d) / |den| is at least twice the
+    distance the pass asks for. A candidate with finite rho and no other point
+    of ``w`` within rho of it in real part, or none in imaginary part, is
+    clear, with a factor 2 to spare against rounding; only the rest take the pass.
     """
     k = roots.size
-    bound, nearest = np.empty(cand.size), np.empty(cand.size)
 
-    def block(lo, hi, diff):
-        dist = np.abs(diff, out=diff).real  # in place: a float work array costs peak RSS
-        np.reciprocal(dist[:, :k], out=dist[:, :k])
-        np.add.reduce(dist[:, :k], axis=1, out=bound[lo:hi])
-        dist[np.arange(hi - lo), k + cand[lo:hi]] = np.inf
-        np.minimum.reduce(dist[:, k:], axis=1, out=nearest[lo:hi])
+    def exact(c, s1, den):
+        bound, nearest = np.empty(c.size), np.empty(c.size)
 
-    _over_rows(block, w[cand], np.concatenate([roots, w]))
-    radius = w.size * (np.abs(s1) + 4.0 * np.finfo(float).eps * bound) / np.abs(den)
-    return radius < 0.5 * nearest
+        def block(lo, hi, diff):
+            dist = np.abs(diff, out=diff).real  # in place: a float work array costs peak RSS
+            np.reciprocal(dist[:, :k], out=dist[:, :k])
+            np.add.reduce(dist[:, :k], axis=1, out=bound[lo:hi])
+            dist[np.arange(hi - lo), k + c[lo:hi]] = np.inf
+            np.minimum.reduce(dist[:, k:], axis=1, out=nearest[lo:hi])
+
+        _over_rows(block, w[c], np.concatenate([roots, w]))
+        radius = w.size * (np.abs(s1) + 4.0 * np.finfo(float).eps * bound) / np.abs(den)
+        return radius < 0.5 * nearest
+
+    if cand.size * (k + w.size) < _THREAD_GRID:
+        return exact(cand, s1, den)
+    # a point on a root, or den = 0 or not finite, clears nothing and warns of nothing
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        at, d, clear = w[cand], 0.0, np.zeros(cand.size, dtype=bool)
+        for part in (np.real, np.imag):
+            x, r = part(at), np.sort(part(roots))
+            i = np.searchsorted(r, x).clip(1, k - 1)
+            d = np.maximum(d, np.minimum(np.abs(x - r[i - 1]), np.abs(r[i] - x)))
+        rho = 4.0 * w.size * (np.abs(s1) + 4.0 * np.finfo(float).eps * k / d) / np.abs(den)
+        for part in (np.real, np.imag):
+            x, pts = part(at), np.sort(part(w))
+            clear |= np.searchsorted(pts, x + rho, "right") - np.searchsorted(pts, x - rho) == 1
+        clear &= np.isfinite(rho)
+        rest = np.flatnonzero(~clear)
+        if rest.size:
+            clear[rest] = exact(cand[rest], s1[rest], den[rest])
+    return clear
 
 
 def critical_points(p: RootPoly, *, max_iter: int = MAX_ITER) -> RootFindReport:

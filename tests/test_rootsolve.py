@@ -422,6 +422,23 @@ def test_tight_root_pair_certifies(roots):
         assert min(gaps) > 1e-30 * max(abs(z) for z in ref)
 
 
+@pytest.mark.parametrize("degree, on_axis, imag_bound", [
+    (21, 2, 2e-18), (101, 6, 2.2e-17), (401, 6, 3e-18)])
+def test_conjugate_symmetric_input_keeps_symmetry_to_roundoff(degree, on_axis, imag_bound):
+    # roots z, conj z and 0.3: the critical points come in conjugate pairs or
+    # lie on the real axis, but the solve keeps that only to roundoff, since
+    # np.unique's row order, the dropped root and the repulsion's summation
+    # order are not conjugation-symmetric. The bounds pin the measurement:
+    # every point 1.1e-16 from its nearest conjugate, and the points on the
+    # axis off it by 1.7e-18, 2.2e-17 and 2.6e-18
+    z = [1, 1j] @ np.random.default_rng(5).normal(size=(2, degree // 2))
+    w = critical_points(RootPoly(np.concatenate([z, z.conj(), [0.3]]))).roots
+    assert np.abs(w.conj()[:, None] - w).min(axis=1).max() <= 1.2e-16
+    axis = np.abs(w.imag) < 1e-8
+    assert axis.sum() == on_axis and np.abs(w.imag[~axis]).min() > 1e-2
+    assert np.abs(w.imag[axis]).max() <= imag_bound
+
+
 HALF_GRID = st.integers(-4, 4).map(lambda m: m / 2)
 
 
@@ -705,6 +722,92 @@ class TestRowThreads:
                 np.testing.assert_array_equal(rootsolve._isolated(w, cand, s1, den, roots), want)
                 assert want[0] == (edge != 2 * radius[0]) and not want.all() and want.any()
         assert len(passes) == 4
+
+    def test_proof_step_matches_two_passes(self, threads, monkeypatch):
+        # 1000 points in [0.1, 1]^2, the first 100 of them candidates, and
+        # 1001 roots 10 above them: a grid above _THREAD_GRID, where the proof
+        # step clears every plain candidate and leaves the cases below to the
+        # exact pass
+        m, count = 1000, 100
+        rng = np.random.default_rng(29)
+        w = [1, 1j] @ rng.uniform(0.1, 1, size=(2, m))
+        roots = [1, 1j] @ rng.uniform(0, 1, size=(2, m + 1)) + 10j
+        cand = np.arange(count)
+        s1 = 10.0 ** rng.uniform(-14, -10, count) * np.exp(2j * np.pi * rng.random(count))
+        den = np.exp(2j * np.pi * rng.random(count))
+        w[500:510], w[12] = w[1:11].conj(), w[11].conj()  # conjugates share a real part
+        w[600:608], w[22] = -w[13:21].conj(), -w[21].conj()  # mirror images an imaginary part
+        roots[:2] = w[30].real + 10j, 5 + 1j * w[30].imag  # d = 0 at candidate 30
+        w[41], w[700] = w[40], w[42]  # duplicate points
+        s1[50:52], den[52:54] = (np.inf, np.nan), (0, np.nan)  # rho not finite
+        s1[55], den[55] = np.inf, np.inf
+        den[54] = np.inf  # rho = 0: cleared
+        s1[0], den[0], w[0] = 0, 1, 0  # the exact-edge neighbour of the test above
+        s1[60] = 1e-9
+        exact = [0, 30, 40, 41, 42, 50, 51, 52, 53, 55, 60]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = np.add.reduce(1 / np.abs(w[cand, None] - roots), axis=1)
+            radius = m * (np.abs(s1) + 4 * np.finfo(float).eps * bound) / np.abs(den)
+        w[800] = w[60] + 1.5 * radius[60]  # inside the clearance, outside the disk
+
+        def two_passes(w):
+            dist = np.abs(w[cand, None] - w)
+            dist[cand, cand] = np.inf
+            return radius < 0.5 * dist.min(axis=1)
+
+        rows = []
+        over_rows = rootsolve._over_rows
+        monkeypatch.setattr(rootsolve, "_over_rows",
+                            lambda block, at, *a: (rows.append(at), over_rows(block, at, *a))[1])
+        assert count * (2 * m + 1) >= rootsolve._THREAD_GRID
+        for threads_used in (1, 2):
+            threads(threads_used)
+            for edge in (2 * radius[0], np.nextafter(2 * radius[0], 1)):
+                w[-1] = edge
+                want = two_passes(w)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = rootsolve._isolated(w, cand, s1, den, roots)
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(rows.pop(), w[exact])
+                assert not rows and want[0] == (edge != 2 * radius[0])
+                assert want[[30, 54]].all() and not want[exact[2:]].any()
+
+    def test_freeze_test_traffic(self, monkeypatch):
+        # per _isolated call: its candidates, whether its grid is at least
+        # _THREAD_GRID (where the proof step runs) and the rows of its exact
+        # passes; thm1 n = 1600 and walsh k = 2 (degree 40)
+        calls = []
+        isolated, over_rows = rootsolve._isolated, rootsolve._over_rows
+
+        def spied(w, cand, s1, den, roots):
+            calls.append((cand.size, cand.size * (roots.size + w.size) >= rootsolve._THREAD_GRID, []))
+            monkeypatch.setattr(rootsolve, "_over_rows", counted)
+            try:
+                return isolated(w, cand, s1, den, roots)
+            finally:
+                monkeypatch.setattr(rootsolve, "_over_rows", over_rows)
+
+        def counted(block, at, *args):
+            calls[-1][2].append(at.size)
+            return over_rows(block, at, *args)
+
+        monkeypatch.setattr(rootsolve, "_isolated", spied)
+        for t in range(3):
+            critical_points(RootPoly(thm1_roots(1600) if t == 0 else _thm1_roots(
+                RngStream(42, stream_id_for("thm1-convergence", t)), 1600)))
+        proved = [(size, sum(rows)) for size, large, rows in calls if large]
+        assert sum(size for size, _ in proved) >= 1000
+        assert sum(rows for _, rows in proved) <= 0.01 * sum(size for size, _ in proved)
+        thm1_calls = len(calls)
+        for t in range(5):
+            critical_points(RootPoly(_walsh_roots(
+                RngStream(42, stream_id_for("walsh-clusters", t)), {"k": 2, **WALSH})[1]))
+        assert len(calls) > thm1_calls
+        assert all(rows == [size] for size, large, rows in calls[thm1_calls:])
+        # the exact pass takes every candidate of a small grid and never runs on zero rows
+        assert all(rows == [size] for size, large, rows in calls if not large)
+        assert all(len(rows) <= 1 and 0 not in rows for _, _, rows in calls)
 
     def test_small_degrees_start_no_pool(self, threads, monkeypatch):
         threads(2)
