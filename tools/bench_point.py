@@ -3,10 +3,11 @@
 
 Run from the repository root:
 
-    python3 tools/bench_point.py BENCH_<n>.json
+    python3 tools/bench_point.py BENCH_<n>.json [--base REV]
 
-The point measures this checkout (the change) against its parent commit
-HEAD^, which is unpacked by ``git archive`` into a temporary directory. For
+The point measures this checkout (the change) against the base revision REV
+(default HEAD^, the parent commit), which is unpacked by ``git archive``
+into a temporary directory; its SHA is kept as ``parent_sha``. For
 each of the seeds 401, 402 and 403 and each workload of BENCHMARK.json, it
 runs ``labbench/run.py --workload W --seed S --seconds 25 --trace 0`` in the
 parent's tree and in this one, one right after the other, the parent first
@@ -64,9 +65,9 @@ def git(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
 
 
-def unpack_parent(into: Path) -> str:
-    """Unpack the files of HEAD^ into ``into``; returns its SHA."""
-    sha = git("rev-parse", "HEAD^").stdout.strip()
+def unpack_parent(into: Path, rev: str = "HEAD^") -> str:
+    """Unpack the files of revision ``rev`` into ``into``; returns its SHA."""
+    sha = git("rev-parse", "--verify", f"{rev}^{{commit}}").stdout.strip()
     archive = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT,
                              capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
@@ -146,6 +147,8 @@ def layer_pairs(parent: dict, change: dict) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="the JSON file to write")
+    parser.add_argument("--base", default="HEAD^",
+                        help="the revision to measure against (default: HEAD^)")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -159,7 +162,7 @@ def main(argv=None) -> int:
              "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         trees = {"parent": Path(tmp), "change": ROOT}
-        point["parent_sha"] = unpack_parent(trees["parent"])
+        point["parent_sha"] = unpack_parent(trees["parent"], args.base)
         runs = {side: {} for side in trees}
         start = time.perf_counter()
         for i, seed in enumerate(SEEDS):
