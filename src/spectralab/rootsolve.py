@@ -327,13 +327,13 @@ def _isolated(w: np.ndarray, cand: np.ndarray, s1: np.ndarray, den: np.ndarray,
     over w[cand] - [roots | w], each row reduced on its own, so a large pass
     runs on two threads with unchanged bits.
 
-    A grid that large first takes a proof step, O((k + m) log(k + m)): d, the
-    larger of the distances from w to the nearest root in real part and in
-    imaginary part (``searchsorted`` on sorted parts), is at most every
-    |w - r|, so rho = 4 m (|s1| + 4 eps k/d) / |den| is at least twice the
-    distance the pass asks for. A candidate with finite rho and no other point
-    of ``w`` within rho of it in real part, or none in imaginary part, is
-    clear, with a factor 2 to spare against rounding; only the rest take the pass.
+    A grid that large first takes a proof step, O((k + m) log(k + m)). The
+    larger of w's distances to the nearest root in sorted real parts and in
+    sorted imaginary parts, d, is at most every |w - r|, so rho = 4 m (|s1| +
+    4 eps k/d) / |den| is at least twice the distance the pass asks for. A
+    candidate whose neighbours in the sorted real parts of ``w``, or in the
+    imaginary parts, are both more than rho away is clear, with a factor 2 to
+    spare against rounding; a rho that is not finite clears nothing.
     """
     k = roots.size
 
@@ -357,14 +357,14 @@ def _isolated(w: np.ndarray, cand: np.ndarray, s1: np.ndarray, den: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         at, d, clear = w[cand], 0.0, np.zeros(cand.size, dtype=bool)
         for part in (np.real, np.imag):
-            x, r = part(at), np.sort(part(roots))
-            i = np.searchsorted(r, x).clip(1, k - 1)
-            d = np.maximum(d, np.minimum(np.abs(x - r[i - 1]), np.abs(r[i] - x)))
+            x, pts = part(at), np.r_[-np.inf, np.sort(part(roots)), np.inf]
+            i = np.searchsorted(pts, x)  # pts[i - 1] < x <= pts[i]
+            d = np.maximum(d, np.minimum(x - pts[i - 1], pts[i] - x))
         rho = 4.0 * w.size * (np.abs(s1) + 4.0 * np.finfo(float).eps * k / d) / np.abs(den)
         for part in (np.real, np.imag):
-            x, pts = part(at), np.sort(part(w))
-            clear |= np.searchsorted(pts, x + rho, "right") - np.searchsorted(pts, x - rho) == 1
-        clear &= np.isfinite(rho)
+            x, pts = part(at), np.r_[-np.inf, np.sort(part(w)), np.inf]
+            i = np.searchsorted(pts, x)  # x itself is pts[i]
+            clear |= (x - pts[i - 1] > rho) & (pts[i + 1] - x > rho)
         rest = np.flatnonzero(~clear)
         if rest.size:
             clear[rest] = exact(cand[rest], s1[rest], den[rest])

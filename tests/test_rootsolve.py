@@ -743,12 +743,15 @@ class TestRowThreads:
         s1[55], den[55] = np.inf, np.inf
         den[54] = np.inf  # rho = 0: cleared
         s1[0], den[0], w[0] = 0, 1, 0  # the exact-edge neighbour of the test above
-        s1[60] = 1e-9
-        exact = [0, 30, 40, 41, 42, 50, 51, 52, 53, 55, 60]
+        s1[60:62] = 1e-9
+        roots[2] = w[70] - 1e-9 * (1 + 1j)  # a root just below candidate 70 in both parts
+        exact = [0, 30, 40, 41, 42, 50, 51, 52, 53, 55, 60, 61, 70]
         with np.errstate(divide="ignore", invalid="ignore"):
             bound = np.add.reduce(1 / np.abs(w[cand, None] - roots), axis=1)
             radius = m * (np.abs(s1) + 4 * np.finfo(float).eps * bound) / np.abs(den)
-        w[800] = w[60] + 1.5 * radius[60]  # inside the clearance, outside the disk
+        # neighbours inside the clearance but outside the disk: above candidate
+        # 60 in real part, below 61 and 70 in both parts
+        w[800:803] = w[[60, 61, 70]] + radius[[60, 61, 70]] * np.array([1.5, -1 - 1j, -1 - 1j])
 
         def two_passes(w):
             dist = np.abs(w[cand, None] - w)
