@@ -357,12 +357,12 @@ def _isolated(w: np.ndarray, cand: np.ndarray, s1: np.ndarray, den: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         at, d, clear = w[cand], 0.0, np.zeros(cand.size, dtype=bool)
         for part in (np.real, np.imag):
-            x, pts = part(at), np.r_[-np.inf, np.sort(part(roots)), np.inf]
+            x, pts = part(at), np.concatenate([[-np.inf], np.sort(part(roots)), [np.inf]])
             i = np.searchsorted(pts, x)  # pts[i - 1] < x <= pts[i]
             d = np.maximum(d, np.minimum(x - pts[i - 1], pts[i] - x))
         rho = 4.0 * w.size * (np.abs(s1) + 4.0 * np.finfo(float).eps * k / d) / np.abs(den)
         for part in (np.real, np.imag):
-            x, pts = part(at), np.r_[-np.inf, np.sort(part(w)), np.inf]
+            x, pts = part(at), np.concatenate([[-np.inf], np.sort(part(w)), [np.inf]])
             i = np.searchsorted(pts, x)  # x itself is pts[i]
             clear |= (x - pts[i - 1] > rho) & (pts[i + 1] - x > rho)
         rest = np.flatnonzero(~clear)

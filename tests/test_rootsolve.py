@@ -784,7 +784,8 @@ class TestRowThreads:
         isolated, over_rows = rootsolve._isolated, rootsolve._over_rows
 
         def spied(w, cand, s1, den, roots):
-            calls.append((cand.size, cand.size * (roots.size + w.size) >= rootsolve._THREAD_GRID, []))
+            large = cand.size * (roots.size + w.size) >= rootsolve._THREAD_GRID
+            calls.append((cand.size, large, []))
             monkeypatch.setattr(rootsolve, "_over_rows", counted)
             try:
                 return isolated(w, cand, s1, den, roots)
@@ -797,7 +798,7 @@ class TestRowThreads:
 
         monkeypatch.setattr(rootsolve, "_isolated", spied)
         for t in range(3):
-            critical_points(RootPoly(thm1_roots(1600) if t == 0 else _thm1_roots(
+            critical_points(RootPoly(_thm1_roots(
                 RngStream(42, stream_id_for("thm1-convergence", t)), 1600)))
         proved = [(size, sum(rows)) for size, large, rows in calls if large]
         assert sum(size for size, _ in proved) >= 1000
@@ -806,8 +807,8 @@ class TestRowThreads:
         for t in range(5):
             critical_points(RootPoly(_walsh_roots(
                 RngStream(42, stream_id_for("walsh-clusters", t)), {"k": 2, **WALSH})[1]))
-        assert len(calls) > thm1_calls
-        assert all(rows == [size] for size, large, rows in calls[thm1_calls:])
+        walsh = calls[thm1_calls:]
+        assert walsh and not any(large for _, large, _ in walsh)
         # the exact pass takes every candidate of a small grid and never runs on zero rows
         assert all(rows == [size] for size, large, rows in calls if not large)
         assert all(len(rows) <= 1 and 0 not in rows for _, _, rows in calls)
