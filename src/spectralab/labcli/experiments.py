@@ -18,7 +18,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -651,22 +650,14 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _run_trial(name, seed, trials, params, t, point):
-    """Row t of experiment ``name`` on its own stream; runs on either compute thread."""
-    edef = EXPERIMENTS[name]
-    stream = RngStream(seed, stream_id_for(name, t))
-    args = (stream, params) if point is None else (stream, params, point, trials)
-    try:
-        row, extras = edef.trial(*args)
-    except NumericalError as exc:
-        # same type, plus what it takes to replay the trial on its own stream
-        err = type(exc)(f"{name} trial {t} (seed {seed}, stream_id "
-                        f"{stream.stream_id}): {exc}")
-        err.failure = {"experiment": name, "params": params, "seed": seed, "trial": t,
-                       "stream_id": stream.stream_id, "error": type(exc).__name__,
-                       "message": str(exc)}
-        raise err from exc
-    return TrialReport(name, t, seed, row), extras
+def _fresh_output_dir(path) -> Path:
+    """The output directory, made if missing, without any file an earlier run wrote there."""
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    for fname in ("trials.csv", "summary.json", "spectra.csv", "scatter.svg", "intensity.csv",
+                  "failure.json"):
+        (out / fname).unlink(missing_ok=True)
+    return out
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -677,7 +668,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     rest. Identical configs produce byte-identical CSV files regardless of
     thread count. When a trial raises a NumericalError, failure.json
     (experiment, params, seed, trial, stream_id, error type and message) is
-    written before the error propagates.
+    written before the error propagates. Either outcome is written only
+    after every file an earlier run left in the directory is removed.
     """
     if cfg.name not in EXPERIMENTS:
         raise UnknownExperiment(
@@ -688,18 +680,31 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     params = _coerce_params(edef, cfg.params)
     if edef.check is not None:
         edef.check(params)
-    points = _parse_int_list(params[edef.points]) if edef.points else [None] * cfg.trials
+    points = _parse_int_list(params[edef.points]) if edef.points else None
     t0 = time.perf_counter()
-    call = partial(_run_trial, cfg.name, cfg.seed, cfg.trials, params)
+
+    def trial(t):
+        """Row t on its own stream; runs on either compute thread."""
+        stream = RngStream(cfg.seed, stream_id_for(cfg.name, t))
+        args = (stream, params) if points is None else (stream, params, points[t], cfg.trials)
+        try:
+            row, extras = edef.trial(*args)
+        except NumericalError as exc:
+            # same type, plus what it takes to replay the trial on its own stream
+            err = type(exc)(f"{cfg.name} trial {t} (seed {cfg.seed}, stream_id "
+                            f"{stream.stream_id}): {exc}")
+            err.failure = {"experiment": cfg.name, "params": params, "seed": cfg.seed,
+                           "trial": t, "stream_id": stream.stream_id,
+                           "error": type(exc).__name__, "message": str(exc)}
+            raise err from exc
+        return TrialReport(cfg.name, t, cfg.seed, row), extras
+
+    n = cfg.trials if points is None else len(points)
     try:
-        if edef.lapack_bound:
-            outs = compute.map_two(lambda t: call(t, points[t]), len(points))
-        else:
-            outs = [call(t, point) for t, point in enumerate(points)]
+        outs = compute.map_two(trial, n) if edef.lapack_bound else [trial(t) for t in range(n)]
     except NumericalError as exc:
         if cfg.output_dir is not None:
-            Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
-            (Path(cfg.output_dir) / "failure.json").write_text(
+            (_fresh_output_dir(cfg.output_dir) / "failure.json").write_text(
                 json.dumps(exc.failure, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         raise
     reports, extras = zip(*outs)
@@ -716,9 +721,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     }
     if cfg.output_dir is None:
         return payload
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "failure.json").unlink(missing_ok=True)  # left by an earlier failed run
+    out = _fresh_output_dir(cfg.output_dir)
     columns = edef.columns + tuple(k for k in reports[0].metrics if k not in edef.columns)
     lines = [",".join(columns)]
     for rep in reports:

@@ -76,8 +76,8 @@ NEWTON_TOL = 1e-11
 MAX_ITER = 200
 # rows of each block of a row-kernel grid that is split over two threads
 _BLOCK_ROWS = 32
-# degree from which critical_points sums P'/P and P''/P by row kernels: one
-# thread of them ties gemv at degree 80 (2.10 vs 2.12 ms) and wins from there
+# degree from which critical_points sums P'/P and P''/P by row kernels: below it row
+# sums stall at a double critical point (double-at-half); ROADMAP item 1 removes it
 _ROW_KERNEL_DEGREE = 80
 # rows x columns from which a row kernel splits its rows over two threads
 _THREAD_GRID = 1 << 17
@@ -187,28 +187,25 @@ def _differences(out: np.ndarray, at: np.ndarray, poles: np.ndarray) -> np.ndarr
     return np.subtract(out, poles, out=out)
 
 
-def _over_rows(block, at: np.ndarray, poles: np.ndarray, *dtypes) -> None:
-    """Run block(lo, hi, diff, *bufs) over row blocks of at[:, None] - poles, two threads if large.
+def _over_rows(block, at: np.ndarray, poles: np.ndarray) -> None:
+    """Run block(lo, hi, diff) over row blocks of at[:, None] - poles, two threads if large.
 
     ``diff`` is at[lo:hi, None] - poles in the dtype of ``at``, which the
-    block reduces in place; ``bufs`` are work arrays of its shape, one per
-    dtype. A grid of at.size x poles.size below _THREAD_GRID is one block. A
-    larger one is cut into blocks of _BLOCK_ROWS rows, each a
+    block reduces in place. A grid of at.size x poles.size below _THREAD_GRID
+    is one block. A larger one is cut into blocks of _BLOCK_ROWS rows, each a
     ``compute.run_two`` index, so both threads take the next block until none
-    is left, each block in its thread's slot of the work arrays.
+    is left, each block in its thread's slot of the work array.
     """
     nrows, ncols = at.size, poles.size
     if nrows * ncols < _THREAD_GRID:
-        diff = _differences(np.empty((nrows, ncols), at.dtype), at, poles)
-        block(0, nrows, diff, *(np.empty(diff.shape, dt) for dt in dtypes))
+        block(0, nrows, _differences(np.empty((nrows, ncols), at.dtype), at, poles))
         return
-    slots = [np.empty((2, _BLOCK_ROWS, ncols), dt) for dt in (at.dtype, *dtypes)]
+    slots = np.empty((2, _BLOCK_ROWS, ncols), at.dtype)
 
     def run(i, slot):
         lo = i * _BLOCK_ROWS
         hi = min(lo + _BLOCK_ROWS, nrows)
-        diff, *bufs = (buf[slot, :hi - lo] for buf in slots)
-        block(lo, hi, _differences(diff, at[lo:hi], poles), *bufs)
+        block(lo, hi, _differences(slots[slot, :hi - lo], at[lo:hi], poles))
 
     run_two(run, -(-nrows // _BLOCK_ROWS))
 
@@ -335,39 +332,35 @@ def _isolated(w: np.ndarray, cand: np.ndarray, s1: np.ndarray, den: np.ndarray,
     imaginary parts, are both more than rho away is clear, with a factor 2 to
     spare against rounding; a rho that is not finite clears nothing.
     """
-    k = roots.size
-
-    def exact(c, s1, den):
-        bound, nearest = np.empty(c.size), np.empty(c.size)
-
-        def block(lo, hi, diff):
-            dist = np.abs(diff, out=diff).real  # in place: a float work array costs peak RSS
-            np.reciprocal(dist[:, :k], out=dist[:, :k])
-            np.add.reduce(dist[:, :k], axis=1, out=bound[lo:hi])
-            dist[np.arange(hi - lo), k + c[lo:hi]] = np.inf
-            np.minimum.reduce(dist[:, k:], axis=1, out=nearest[lo:hi])
-
-        _over_rows(block, w[c], np.concatenate([roots, w]))
-        radius = w.size * (np.abs(s1) + 4.0 * np.finfo(float).eps * bound) / np.abs(den)
-        return radius < 0.5 * nearest
-
-    if cand.size * (k + w.size) < _THREAD_GRID:
-        return exact(cand, s1, den)
+    k, eps = roots.size, np.finfo(float).eps
+    clear = np.zeros(cand.size, dtype=bool)
     # a point on a root, or den = 0 or not finite, clears nothing and warns of nothing
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        at, d, clear = w[cand], 0.0, np.zeros(cand.size, dtype=bool)
-        for part in (np.real, np.imag):
-            x, pts = part(at), np.concatenate([[-np.inf], np.sort(part(roots)), [np.inf]])
-            i = np.searchsorted(pts, x)  # pts[i - 1] < x <= pts[i]
-            d = np.maximum(d, np.minimum(x - pts[i - 1], pts[i] - x))
-        rho = 4.0 * w.size * (np.abs(s1) + 4.0 * np.finfo(float).eps * k / d) / np.abs(den)
-        for part in (np.real, np.imag):
-            x, pts = part(at), np.concatenate([[-np.inf], np.sort(part(w)), [np.inf]])
-            i = np.searchsorted(pts, x)  # x itself is pts[i]
-            clear |= (x - pts[i - 1] > rho) & (pts[i + 1] - x > rho)
+        if cand.size * (k + w.size) >= _THREAD_GRID:
+            at, d = w[cand], 0.0
+            for part in (np.real, np.imag):
+                x, pts = part(at), np.concatenate([[-np.inf], np.sort(part(roots)), [np.inf]])
+                i = np.searchsorted(pts, x)  # pts[i - 1] < x <= pts[i]
+                d = np.maximum(d, np.minimum(x - pts[i - 1], pts[i] - x))
+            rho = 4.0 * w.size * (np.abs(s1) + 4.0 * eps * k / d) / np.abs(den)
+            for part in (np.real, np.imag):
+                x, pts = part(at), np.concatenate([[-np.inf], np.sort(part(w)), [np.inf]])
+                i = np.searchsorted(pts, x)  # x itself is pts[i]
+                clear |= (x - pts[i - 1] > rho) & (pts[i + 1] - x > rho)
         rest = np.flatnonzero(~clear)
         if rest.size:
-            clear[rest] = exact(cand[rest], s1[rest], den[rest])
+            c, bound, nearest = cand[rest], np.empty(rest.size), np.empty(rest.size)
+
+            def block(lo, hi, diff):
+                dist = np.abs(diff, out=diff).real  # in place: a float work array costs peak RSS
+                np.reciprocal(dist[:, :k], out=dist[:, :k])
+                np.add.reduce(dist[:, :k], axis=1, out=bound[lo:hi])
+                dist[np.arange(hi - lo), k + c[lo:hi]] = np.inf
+                np.minimum.reduce(dist[:, k:], axis=1, out=nearest[lo:hi])
+
+            _over_rows(block, w[c], np.concatenate([roots, w]))
+            radius = w.size * (np.abs(s1[rest]) + 4.0 * eps * bound) / np.abs(den[rest])
+            clear[rest] = radius < 0.5 * nearest
     return clear
 
 

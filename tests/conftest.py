@@ -34,6 +34,20 @@ def assert_outcome(call, expected):
                                       strict=isinstance(expected, np.ndarray))
 
 
+needs_long_double = pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                                       reason="needs an extended-precision long double")
+
+
+def clongdouble_polish(w, roots) -> np.ndarray:
+    """Critical points w after two Newton steps on P'/P'' in clongdouble, P of the given roots."""
+    z, r = np.asarray(w).astype(np.clongdouble), np.asarray(roots).astype(np.clongdouble)
+    for _ in range(2):
+        inv = 1.0 / (z[:, None] - r[None, :])
+        s1, s2 = inv.sum(axis=1), (inv * inv).sum(axis=1)
+        z = z - s1 / (s1 * s1 - s2)
+    return z
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250808)

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import assert_outcome
+from conftest import assert_outcome, clongdouble_polish, needs_long_double
 from spectralab.errors import BadParams, EmptyMeasure, IoError, NoConvergence, UnknownExperiment
 from spectralab.labcli import (
     EXPERIMENTS,
@@ -18,8 +20,16 @@ from spectralab.labcli import (
     run_experiment,
     stream_id_for,
 )
+import spectralab.labcli.experiments as expmod
 from spectralab.labcli.cli import main
+from spectralab.measures import (
+    ClusterSpec,
+    angular_discrepancy,
+    cluster_deficiency,
+    walsh_constant,
+)
 from spectralab.polycore import RootPoly
+from spectralab.randgen import RngStream
 from spectralab.rootsolve import critical_points
 
 ALL_NAMES = {
@@ -202,6 +212,36 @@ class TestPinnedOutputs:
         }
 
 
+@needs_long_double
+@pytest.mark.parametrize("name", ["walsh-clusters", "discrepancy"])
+def test_small_degree_pins_match_polished_points(name, tmp_path):
+    # the solver-derived columns of the pinned runs above, recomputed from
+    # their critical points after a clongdouble polish: the deficiency
+    # columns must be equal, and the discrepancy columns within the ulp
+    # distance measured on both rows (n = 8 and 16), which is 0
+    run_experiment(ExperimentConfig(name, 7, 3, dict(SMALL_PARAMS[name]), tmp_path))
+    rows = list(csv.DictReader((tmp_path / "trials.csv").open()))
+    params = expmod._coerce_params(EXPERIMENTS[name], SMALL_PARAMS[name])
+
+    def polished(roots):
+        return clongdouble_polish(critical_points(RootPoly(roots)).roots, roots).astype(complex)
+
+    for t, row in enumerate(rows):
+        if name == "walsh-clusters":
+            k, radius, eps = params["k"], params["radius"], params["eps"]
+            centers, roots = expmod._walsh_roots(RngStream(7, stream_id_for(name, t)), params)
+            defs = cluster_deficiency(ClusterSpec(centers, radius, 5.0 * k + 2.0 * radius),
+                                      polished(roots), eps, params["n_per_cluster"])
+            violated = int(max(defs) > walsh_constant(k, eps, 5.0 * k))
+            assert (int(row["max_deficiency"]), int(row["violated"])) == (max(defs), violated)
+        else:
+            n = int(row["n"])
+            roots = np.exp(2j * np.pi * np.arange(1, n + 1) / (n + 1))
+            disc = angular_discrepancy(np.concatenate([polished(roots), [1.0, 1.0]]))
+            for col, want in (("discrepancy", disc), ("discrepancy_sq", disc * disc)):
+                assert float(row[col]) == want, (row["n"], col)
+
+
 def run_fresh_python(script):
     """Run script in a new interpreter that imports this checkout's spectralab."""
     src = str(Path(__file__).parents[1] / "src")
@@ -272,21 +312,23 @@ class TestRegistry:
 
 
 class TestWorkerPool:
-    """There is no worker pool: every trial runs in the calling process."""
+    """There is no worker pool, and a refused run starts no trial."""
 
     @pytest.fixture
     def trials_run(self, monkeypatch):
-        import spectralab.labcli.experiments as expmod
-
+        """The name of the experiment of every trial run, through each experiment's trial."""
         seen = []
-        run_trial = expmod._run_trial
+        for name, edef in list(expmod.EXPERIMENTS.items()):
+            def recorded(*args, name=name, trial=edef.trial):
+                seen.append(name)
+                return trial(*args)
 
-        def recorded(*args):
-            seen.append(args)
-            return run_trial(*args)
-
-        monkeypatch.setattr(expmod, "_run_trial", recorded)
+            monkeypatch.setitem(expmod.EXPERIMENTS, name, dataclasses.replace(edef, trial=recorded))
         return seen
+
+    def test_trials_are_recorded(self, trials_run, tmp_path):
+        run_experiment(ExperimentConfig("matching-lln", 7, 2, {"n": 25}, tmp_path))
+        assert trials_run == ["matching-lln", "matching-lln"]
 
     @pytest.mark.parametrize("name, params", [
         ("ginibre-intensity", {"bins": 0}),
@@ -372,6 +414,34 @@ class TestOutputs:
             digests.append(hashlib.sha256(
                 (tmp_path / sub / "trials.csv").read_bytes()).hexdigest())
         assert digests[0] == digests[1]
+
+    def test_rerun_removes_the_earlier_runs_files(self, tmp_path):
+        # a run with spectra and scatter, then a plain one in the same
+        # directory: it holds what the plain run writes in a fresh one
+        first = {"n": 12, "spectra": 1, "svg": 1}
+        run_experiment(ExperimentConfig("ginibre-intensity", 1, 2, first, tmp_path / "d"))
+        assert {"spectra.csv", "scatter.svg"} < set(_output_digests(tmp_path / "d"))
+        for sub in ("d", "fresh"):
+            run_experiment(ExperimentConfig("ginibre-intensity", 2, 3, {"n": 12}, tmp_path / sub))
+        assert _output_digests(tmp_path / "d") == _output_digests(tmp_path / "fresh")
+
+    def test_failure_removes_the_earlier_runs_files(self, monkeypatch, tmp_path):
+        params = {"n": 12, "spectra": 1, "svg": 1}
+        run_experiment(ExperimentConfig("ginibre-intensity", 1, 2, params, tmp_path))
+        before = _output_digests(tmp_path)
+        # a run refused before any trial touches nothing
+        with pytest.raises(BadParams):
+            run_experiment(ExperimentConfig("ginibre-intensity", 1, 2, {"bins": 0}, tmp_path))
+        assert _output_digests(tmp_path) == before
+
+        def fails(stream, params):
+            raise NoConvergence("forced")
+
+        edef = EXPERIMENTS["ginibre-intensity"]
+        monkeypatch.setitem(expmod.EXPERIMENTS, edef.name, dataclasses.replace(edef, trial=fails))
+        with pytest.raises(NoConvergence):
+            run_experiment(ExperimentConfig("ginibre-intensity", 2, 3, params, tmp_path))
+        assert [path.name for path in tmp_path.iterdir()] == ["failure.json"]
 
     @pytest.mark.parametrize("name", sorted(ALL_NAMES))
     def test_thread_and_worker_counts_do_not_change_csv(self, name, monkeypatch, tmp_path):

@@ -14,7 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_multiset_close, assert_outcome
+from conftest import (
+    assert_multiset_close,
+    assert_outcome,
+    clongdouble_polish,
+    needs_long_double,
+)
 import spectralab.compute as compute
 import spectralab.rootsolve as rootsolve
 from spectralab.errors import DegenerateInput, NoConvergence
@@ -480,18 +485,10 @@ def small_degree_inputs():
 
 def extended_newton_distance(roots):
     """max |w - z| / (1 + |z|) over the critical points w of the roots, where z
-    is two Newton steps on P'/P'' in clongdouble from w."""
+    is w polished in clongdouble."""
     w = critical_points(RootPoly(roots)).roots
-    z, r = w.astype(np.clongdouble), roots.astype(np.clongdouble)
-    for _ in range(2):
-        inv = 1.0 / (z[:, None] - r[None, :])
-        s1, s2 = inv.sum(axis=1), (inv * inv).sum(axis=1)
-        z = z - s1 / (s1 * s1 - s2)
+    z = clongdouble_polish(w, roots)
     return float(np.max(np.abs(w - z) / (1.0 + np.abs(z))))
-
-
-needs_long_double = pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
-                                       reason="needs an extended-precision long double")
 
 
 @needs_long_double
@@ -677,11 +674,10 @@ class TestRowThreads:
         at, poles = draw(nrows), draw(1000)
         got = []
 
-        def block(lo, hi, diff, dist):
-            assert dist.shape == diff.shape and dist.dtype == float
+        def block(lo, hi, diff):
             got.append((lo, hi, diff.dtype, diff.tobytes()))
 
-        rootsolve._over_rows(block, at, poles, float)
+        rootsolve._over_rows(block, at, poles)
         got.sort()
         if nrows * poles.size < rootsolve._THREAD_GRID:
             assert [(lo, hi) for lo, hi, *_ in got] == [(0, nrows)]
