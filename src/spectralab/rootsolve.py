@@ -333,7 +333,8 @@ def _isolated(w: np.ndarray, cand: np.ndarray, s1: np.ndarray, den: np.ndarray,
     spare against rounding; a rho that is not finite clears nothing.
     """
     k, eps = roots.size, np.finfo(float).eps
-    clear = np.zeros(cand.size, dtype=bool)
+    # the candidates of the exact pass: all below the gate, above it those the proof leaves
+    clear, rest = np.zeros(cand.size, dtype=bool), slice(None)
     # a point on a root, or den = 0 or not finite, clears nothing and warns of nothing
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if cand.size * (k + w.size) >= _THREAD_GRID:
@@ -347,9 +348,10 @@ def _isolated(w: np.ndarray, cand: np.ndarray, s1: np.ndarray, den: np.ndarray,
                 x, pts = part(at), np.concatenate([[-np.inf], np.sort(part(w)), [np.inf]])
                 i = np.searchsorted(pts, x)  # x itself is pts[i]
                 clear |= (x - pts[i - 1] > rho) & (pts[i + 1] - x > rho)
-        rest = np.flatnonzero(~clear)
-        if rest.size:
-            c, bound, nearest = cand[rest], np.empty(rest.size), np.empty(rest.size)
+            rest = np.flatnonzero(~clear)
+        c = cand[rest]
+        if c.size:
+            bound, nearest = np.empty(c.size), np.empty(c.size)
 
             def block(lo, hi, diff):
                 dist = np.abs(diff, out=diff).real  # in place: a float work array costs peak RSS

@@ -378,8 +378,6 @@ class TestSingleDraw:
         ("thm1-convergence", "two_sequence_pick"),
     ])
     def test_one_draw_per_trial(self, name, sampler, monkeypatch, tmp_path):
-        import spectralab.labcli.experiments as expmod
-
         calls = []
         original = getattr(expmod, sampler)
 
@@ -628,8 +626,6 @@ class TestCli:
 
     def test_poisson_limit_refuses_r_lo_0_before_any_trial(self, monkeypatch, tmp_path):
         # its intensity table starts at r_lo / 2, where r_lo = 0 has no intensity
-        import spectralab.labcli.experiments as expmod
-
         def no_trial(*args):
             raise AssertionError("a trial ran")
 
@@ -644,8 +640,6 @@ class TestCli:
                                                                   tmp_path):
         # at n = 64 no eigenvalue is expected past radius 6: the relative
         # errors would divide by expected counts that are 0
-        import spectralab.labcli.experiments as expmod
-
         def no_trial(*args):
             raise AssertionError("a trial ran")
 
@@ -701,8 +695,6 @@ class TestCli:
         assert svg[0] == svg[1]
 
     def test_numerical_error_names_trial_and_stream(self, monkeypatch, tmp_path):
-        import spectralab.labcli.experiments as expmod
-
         solved = []
 
         def fails_second(p):
@@ -722,8 +714,6 @@ class TestCli:
         assert message.endswith("forced")
 
     def test_numerical_failure_writes_failure_record(self, monkeypatch, tmp_path):
-        import spectralab.labcli.experiments as expmod
-
         solved = []
 
         def fails_second(p):
