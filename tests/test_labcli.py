@@ -323,7 +323,8 @@ class TestWorkerPool:
                 seen.append(name)
                 return trial(*args)
 
-            monkeypatch.setitem(expmod.EXPERIMENTS, name, dataclasses.replace(edef, trial=recorded))
+            monkeypatch.setitem(expmod.EXPERIMENTS, name,
+                                dataclasses.replace(edef, trial=recorded))
         return seen
 
     def test_trials_are_recorded(self, trials_run, tmp_path):

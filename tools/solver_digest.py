@@ -5,12 +5,13 @@ Run from the repository root:
 
     python3 tools/solver_digest.py [--base REV] [--family NAME ...]
 
-The base revision REV (default HEAD^) is unpacked by ``bench_point.unpack_parent``
-into a temporary directory. The inputs are built once, from this checkout,
-and each tree solves them in its own interpreter, on one and then on two
-compute threads. Per input family the tool prints one SHA-256 of every
-solve's result on this checkout for each thread count, and marks it equal
-to the base revision's or different, with the base's digest. A complex family hashes the roots, residuals and iteration
+The base revision REV (default HEAD^) is unpacked by
+``bench_point.unpack_parent`` into a temporary directory. The inputs are
+built once, from this checkout, and each tree solves them in its own
+interpreter, on one and then on two compute threads. Per input family and
+thread count the tool prints one SHA-256 of every solve's result on this
+checkout, and marks it equal to the base revision's or different, with the
+base's digest. A complex family hashes the roots, residuals and iteration
 count of ``critical_points`` (or the type and message of the error it
 raises); a real family hashes ``real_interlaced_critical_points``. The exit
 status is 1 if any family differs, else 0. ``--family`` (repeatable)
